@@ -161,11 +161,6 @@ def generate_dataset(cfg: ExperimentConfig, trial: int = 0):
     return offline, [on[j] for j in range(on.shape[0])]
 
 
-def _weight_kind(matcher: str) -> str:
-    return "distance" if matcher.endswith("Dist") or matcher == "DistanceMatching" \
-        else "inner-product"
-
-
 def _weight_matrix(offline: PointSet, online: list, weight: str) -> np.ndarray:
     if not online:
         return np.zeros((offline.n, 0))
@@ -187,9 +182,9 @@ def _bound(matcher: str, oracle: IncrementOracle | None, opt: float,
     return 0.5 * opt, "half-opt"
 
 
-def run_trial(cfg: ExperimentConfig, trial: int = 0,
-              oracle: IncrementOracle | None = None) -> TrialReport:
-    """One seeded experiment: build, stream, compare against the optimum."""
+def _stream(cfg: ExperimentConfig, trial: int,
+            oracle: IncrementOracle | None = None):
+    """Build the trial's instance and matcher, then time each arrival."""
     offline, online = generate_dataset(cfg, trial)
     root = child_seed(cfg.seed, trial)
     matcher = match_init(
@@ -201,14 +196,17 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
     )
     lat_ns = []
     for y in online:
-        if cfg.measure_latency:
-            t0 = time.perf_counter_ns()
-            match_update(matcher, y)
-            lat_ns.append(time.perf_counter_ns() - t0)
-        else:
-            match_update(matcher, y)
+        t0 = time.perf_counter_ns()
+        match_update(matcher, y)
+        lat_ns.append(time.perf_counter_ns() - t0)
+    return offline, online, matcher, lat_ns
 
-    weight = _weight_kind(cfg.matcher)
+
+def run_trial(cfg: ExperimentConfig, trial: int = 0,
+              oracle: IncrementOracle | None = None) -> TrialReport:
+    """One seeded experiment: build, stream, compare against the optimum."""
+    offline, online, matcher, lat_ns = _stream(cfg, trial, oracle)
+    weight = matcher.weight
     alg = realized_value(matcher, weight)
     s = match_query(matcher)
 
@@ -226,7 +224,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
         formula = "not-computed"
         satisfied = True
 
-    if lat_ns:
+    if cfg.measure_latency and lat_ns:
         p50 = float(np.percentile(lat_ns, 50)) / 1e3
         p99 = float(np.percentile(lat_ns, 99)) / 1e3
     else:
@@ -311,20 +309,8 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
     for n in n_values:
         for kind in kinds:
             sub = replace(cfg, matcher=kind, n_offline=int(n),
-                          instrument=False, measure_latency=True, trials=1)
-            offline, online = generate_dataset(sub, 0)
-            root = child_seed(sub.seed, 0)
-            matcher = match_init(
-                kind, offline, epsilon=sub.epsilon, tau=sub.tau,
-                delta=sub.delta, seed=child_seed(root, 2), instrument=False,
-                **({"max_tables": sub.max_tables}
-                   if kind == "FasterInnerProductMatching" else {}),
-            )
-            lat = []
-            for y in online:
-                t0 = time.perf_counter_ns()
-                match_update(matcher, y)
-                lat.append(time.perf_counter_ns() - t0)
+                          instrument=False, trials=1)
+            lat = _stream(sub, 0)[3]
             med[kind].append(float(np.median(lat)) / 1e3)
     slopes = {k: _fit_slope(n_values, med[k]) for k in kinds}
     dstar = 2.0 * cfg.norm_bound

@@ -145,10 +145,7 @@ class SeededRng:
         self.gen = np.random.default_rng(self.seq)
 
     def spawn(self, key: int) -> "SeededRng":
-        child = np.random.SeedSequence(
-            entropy=self.seq.entropy, spawn_key=self.seq.spawn_key + (int(key),)
-        )
-        return SeededRng(child)
+        return SeededRng(child_seed(self, key))
 
 
 def child_seed(seed, key: int) -> np.random.SeedSequence:

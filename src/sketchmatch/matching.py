@@ -13,14 +13,16 @@ estimate error: multiplicatively (1 +- eps) accurate estimates keep the
 realized value above (1 - 2 eps)/2 * opt, additively (+- eps) accurate ones
 above opt/2 - 1.5 m eps for m arrivals.
 
-Four matchers share that skeleton and differ in where estimates come from:
-exact scans (GreedyExact, optionally perturbed through an IncrementOracle),
-sketched distances (DistanceMatching), sketched inner products
-(InnerProductMatching), and hashed Max-IP search over increment-augmented
-vectors (FasterInnerProductMatching).  The last one hashes X_i = (x_i, w_i)
-against Y = (y, -1) so that <X_i, Y> is exactly the increment; both sides are
-scaled into the unit ball (data by sqrt(2) D, query by sqrt(2)), which turns
-an increment threshold tau into a transformed-space threshold tau / (2 D).
+Every matcher runs that one update and differs only in where the chosen
+index and its estimate come from: exact scans (GreedyExact, optionally
+perturbed through an IncrementOracle), sketched distances
+(DistanceMatching), sketched inner products (InnerProductMatching), and
+hashed Max-IP search over increment-augmented vectors
+(FasterInnerProductMatching).  The last one hashes X_i = (x_i, w_i) against
+Y = (y, -1) so that <X_i, Y> is exactly the increment; both sides are scaled
+into the unit ball (data by sqrt(2) D, query by sqrt(2)), which turns an
+increment threshold tau into a transformed-space threshold tau / (2 D).  It
+also re-hashes X_i whenever an arrival raises w_i.
 
 Per-offline value floors at zero: an assignment with negative weight never
 counts against the matching, mirroring the option to leave a point unmatched.
@@ -58,9 +60,9 @@ _FLAG_TOL = 1e-9
 
 @dataclass
 class MatchState:
-    """Bookkeeping shared by every matcher variant.
+    """Bookkeeping of the one update every matcher variant runs.
 
-    tracked_value is the matcher's own running total s and equals
+    tracked_value is the matcher's own running total s (a float) and equals
     sum(accumulated) after every update; accumulated[i] is the believed
     value of offline point i and never decreases.  assignments[i] stores
     the actual online vectors routed to offline point i, so the realized
@@ -85,14 +87,11 @@ class IncrementOracle:
 
     mode "exact" returns weights untouched; "multiplicative" returns
     w * (1 +- eps) and "additive" returns w +- eps, the sign drawn fresh per
-    estimate so the noise sits at the full allowed magnitude; "maxip" is a
-    descriptive tag for the hashed search variant, which produces its own
-    estimates internally.
+    estimate so the noise sits at the full allowed magnitude.
     """
 
     mode: str
     epsilon: float = 0.0
-    tau: float = 0.0
     rng: SeededRng | None = None
 
     def estimate(self, true_w: np.ndarray) -> np.ndarray:
@@ -119,9 +118,14 @@ def inject_noise_oracle(mode: str, epsilon: float, seed) -> IncrementOracle:
 
 
 class _MatcherBase:
-    """Shared update skeleton; subclasses supply the estimate vector."""
+    """The one update skeleton; subclasses supply the choice of index.
+
+    weight names the true weight in realized_value's vocabulary
+    ("inner-product" or "distance"); the per-step check scans it exactly.
+    """
 
     kind: str = ""
+    weight: str = "inner-product"
 
     def __init__(self, offline: PointSet, epsilon: float, tau: float,
                  delta: float, seed, instrument: bool = False) -> None:
@@ -140,8 +144,15 @@ class _MatcherBase:
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
         raise NotImplementedError
 
+    # subclasses: react to a positive gain just credited to offline point i0
+    def _accept(self, i0: int) -> None:
+        pass
+
     def _exact_weights(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if self.weight == "inner-product":
+            return self.offline.points @ y
+        d = self.offline.points - y
+        return np.sqrt(np.einsum("nd,nd->n", d, d))
 
     def update(self, y) -> int:
         y = as_vector(y, dim=self.offline.dim)
@@ -149,10 +160,12 @@ class _MatcherBase:
         if self.instrument:
             before = st.accumulated.copy()
         i0, est_new = self._choose(y)
-        gain = max(0.0, est_new - st.accumulated[i0])
+        gain = max(0.0, est_new - float(st.accumulated[i0]))
         st.assignments[i0].append(y)
-        st.accumulated[i0] += gain
-        st.tracked_value += gain
+        if gain > 0.0:
+            st.accumulated[i0] += gain
+            st.tracked_value += gain
+            self._accept(i0)
         if self.instrument:
             self._assert_step(y, i0, before)
         st.online_count += 1
@@ -194,14 +207,8 @@ class GreedyExact(_MatcherBase):
         eps = oracle.epsilon if oracle is not None else epsilon
         super().__init__(offline, eps, tau, 0.0, seed, instrument)
         self.kind = "GreedyExact-IP" if weight == "ip" else "GreedyExact-Dist"
-        self.weight = weight
+        self.weight = "inner-product" if weight == "ip" else "distance"
         self.oracle = oracle if oracle is not None else IncrementOracle("exact")
-
-    def _exact_weights(self, y: np.ndarray) -> np.ndarray:
-        if self.weight == "ip":
-            return self.offline.points @ y
-        d = self.offline.points - y
-        return np.sqrt(np.einsum("nd,nd->n", d, d))
 
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
         est = self.oracle.estimate(self._exact_weights(y))
@@ -219,6 +226,7 @@ class DistanceMatching(_MatcherBase):
     """
 
     kind = "DistanceMatching"
+    weight = "distance"
 
     def __init__(self, offline: PointSet, epsilon: float, delta: float, seed,
                  instrument: bool = False,
@@ -226,10 +234,6 @@ class DistanceMatching(_MatcherBase):
         super().__init__(offline, epsilon, 0.0, delta, seed, instrument)
         self.bank = ade.ade_init(offline, epsilon, delta / offline.n,
                                  child_seed(seed, 0), c_k=c_k, c_m=c_m)
-
-    def _exact_weights(self, y: np.ndarray) -> np.ndarray:
-        d = self.offline.points - y
-        return np.sqrt(np.einsum("nd,nd->n", d, d))
 
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
         est = ade.ade_query(self.bank, y)
@@ -253,9 +257,6 @@ class InnerProductMatching(_MatcherBase):
         self.est = ipe.ipe_init(offline, epsilon, delta / offline.n,
                                 child_seed(seed, 0), c_k=c_k, c_m=c_m)
 
-    def _exact_weights(self, y: np.ndarray) -> np.ndarray:
-        return self.offline.points @ y
-
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
         est = ipe.ipe_query(self.est, y)
         i0 = int(np.argmax(est - self.state.accumulated))
@@ -269,10 +270,10 @@ class FasterInnerProductMatching(_MatcherBase):
     1 / (sqrt(2) D); the arrival probes with (y, -1) scaled by 1 / sqrt(2),
     so transformed inner products equal (w(x_i, y) - w_i) / (2 D) and the
     increment threshold tau becomes tau / (2 D).  A Found result names an
-    index whose exact recomputed increment z is at least (1 - eps) tau; on
-    Fail a uniformly random index is taken.  Either way the arrival is
-    assigned, and a positive z rewrites w_i and re-hashes the augmented
-    point.
+    index whose exact recomputed increment is at least (1 - eps) tau; on
+    Fail a uniformly random index is taken.  Either way the estimate is the
+    exact weight at the chosen index, so a positive gain is the true
+    increment; accepting it re-hashes the augmented point with the new w_i.
     """
 
     kind = "FasterInnerProductMatching"
@@ -300,33 +301,20 @@ class FasterInnerProductMatching(_MatcherBase):
     def _augment(self, x: np.ndarray, w: float) -> np.ndarray:
         return np.concatenate([x, [w]]) / self.scale
 
-    def _exact_weights(self, y: np.ndarray) -> np.ndarray:
-        return self.offline.points @ y
-
-    def update(self, y) -> int:
-        y = as_vector(y, dim=self.offline.dim)
-        st = self.state
-        if self.instrument:
-            before = st.accumulated.copy()
+    def _choose(self, y: np.ndarray) -> tuple[int, float]:
         q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
         res = maxip.maxip_query(self.index, q)
         if res.found:
             i0 = res.index
         else:
             i0 = int(self.rng.gen.integers(0, self.offline.n))
-        z = float(self.offline.points[i0] @ y) - float(st.accumulated[i0])
-        st.assignments[i0].append(y)
-        if z > 0.0:
-            st.accumulated[i0] += z
-            st.tracked_value += z
-            maxip.maxip_update(
-                self.index, i0,
-                transform_data(self._augment(self.offline.points[i0],
-                                             st.accumulated[i0])))
-        if self.instrument:
-            self._assert_step(y, i0, before)
-        st.online_count += 1
-        return i0
+        return i0, float(self.offline.points[i0] @ y)
+
+    def _accept(self, i0: int) -> None:
+        maxip.maxip_update(
+            self.index, i0,
+            transform_data(self._augment(self.offline.points[i0],
+                                         self.state.accumulated[i0])))
 
 
 def match_init(kind: str, offline: PointSet, epsilon: float = 0.1,

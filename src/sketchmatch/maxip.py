@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -217,15 +218,22 @@ class LshIndex:
         """Current members of one bucket (base plus overlay, stale-filtered)."""
         lo = int(np.searchsorted(self.base_sig[table], sig, side="left"))
         hi = int(np.searchsorted(self.base_sig[table], sig, side="right"))
+        return self._gather(table, sig, lo, hi, set())
+
+    def _gather(self, table: int, sig, lo: int, hi: int,
+                seen: set[int]) -> list[int]:
+        """Members of bucket sig in one table that are not in seen yet.
+
+        Reads base_order[table, lo:hi] (the bucket's range in the sorted
+        base), then the bucket's overlay entries; an id whose current
+        signature in this table is no longer sig is stale and skipped.
+        Returned ids are added to seen.
+        """
+        row = self.cur_sig[table]
         out = []
-        seen = set()
-        for i in self.base_order[table, lo:hi]:
-            i = int(i)
-            if self.cur_sig[table, i] == sig and i not in seen:
-                seen.add(i)
-                out.append(i)
-        for i in self.overlay.get(self._overlay_key(table, sig), ()):
-            if self.cur_sig[table, i] == sig and i not in seen:
+        for i in chain(self.base_order[table, lo:hi].tolist(),
+                       self.overlay.get(self._overlay_key(table, sig), ())):
+            if row[i] == sig and i not in seen:
                 seen.add(i)
                 out.append(i)
         return out
@@ -302,18 +310,7 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     seen: set[int] = set()
     tables = sorted(set(base_hits.tolist()) | overlay_hits)
     for t in tables:
-        cand = []
-        sig_t = qsig[t]
-        for i in index.base_order[t, lo[t] : hi[t]]:
-            i = int(i)
-            if index.cur_sig[t, i] == sig_t and i not in seen:
-                seen.add(i)
-                cand.append(i)
-        if t in overlay_hits:
-            for i in index.overlay[index._overlay_key(t, sig_t)]:
-                if index.cur_sig[t, i] == sig_t and i not in seen:
-                    seen.add(i)
-                    cand.append(i)
+        cand = index._gather(t, qsig[t], lo[t], hi[t], seen)
         if not cand:
             continue
         vals = index.stored[cand] @ q

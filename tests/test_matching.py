@@ -16,7 +16,14 @@ import math
 import numpy as np
 import pytest
 
-from sketchmatch.core import ParameterError, PointSet
+from sketchmatch import maxip
+from sketchmatch.core import (
+    ParameterError,
+    PointSet,
+    as_vector,
+    transform_data,
+    transform_query,
+)
 from sketchmatch.matching import (
     MATCHER_KINDS,
     FasterInnerProductMatching,
@@ -422,6 +429,87 @@ class TestFasterMatcher:
             )
             traces.append([match_update(m, y) for y in arrivals])
         assert traces[0] == traces[1]
+
+
+class _ReferenceFaster(FasterInnerProductMatching):
+    """The hashed matcher with its former dedicated update, kept verbatim."""
+
+    def update(self, y) -> int:
+        y = as_vector(y, dim=self.offline.dim)
+        st = self.state
+        if self.instrument:
+            before = st.accumulated.copy()
+        q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
+        res = maxip.maxip_query(self.index, q)
+        if res.found:
+            i0 = res.index
+        else:
+            i0 = int(self.rng.gen.integers(0, self.offline.n))
+        z = float(self.offline.points[i0] @ y) - float(st.accumulated[i0])
+        st.assignments[i0].append(y)
+        if z > 0.0:
+            st.accumulated[i0] += z
+            st.tracked_value += z
+            maxip.maxip_update(
+                self.index, i0,
+                transform_data(self._augment(self.offline.points[i0],
+                                             st.accumulated[i0])))
+        if self.instrument:
+            self._assert_step(y, i0, before)
+        st.online_count += 1
+        return i0
+
+
+def _clustered(rng, count, centres, spread=0.15):
+    which = rng.integers(0, centres.shape[0], size=count)
+    x = centres[which] + spread / math.sqrt(centres.shape[1]) * rng.standard_normal(
+        (count, centres.shape[1]))
+    return x / np.maximum(1.0, np.linalg.norm(x, axis=1, keepdims=True))
+
+
+class TestHashedMatcherOnSharedSkeleton:
+    @pytest.mark.parametrize("instrument", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_update_bitwise(self, seed, instrument):
+        """The shared update reproduces the former hashed update exactly.
+
+        Clustered arrivals first find large increments, then mostly fall
+        back once their cluster's weights are filled; rebuild_factor=1 makes
+        the index consolidate every few rehashes.
+        """
+        rng = np.random.default_rng(100 + seed)
+        centres = _unit_ball(rng, 3, 8)
+        centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+        offline = PointSet(_clustered(rng, 24, centres))
+        arrivals = _clustered(rng, 240, centres)
+        kw = dict(epsilon=0.2, tau=0.5, delta=0.2, seed=seed,
+                  instrument=instrument)
+        new = FasterInnerProductMatching(offline, **kw)
+        ref = _ReferenceFaster(offline, **kw)
+        new.index.rebuild_factor = ref.index.rebuild_factor = 1
+        found = fallback = consolidations = 0
+        for y in arrivals:
+            q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
+            if maxip.maxip_query(ref.index, q).found:
+                found += 1
+            else:
+                fallback += 1
+            appends = ref.index._overlay_appends
+            assert match_update(new, y) == match_update(ref, y)
+            consolidations += ref.index._overlay_appends < appends
+        assert found and fallback and consolidations
+        a, b = new.state, ref.state
+        assert a.accumulated.tobytes() == b.accumulated.tobytes()
+        assert type(a.tracked_value) is float and type(b.tracked_value) is float
+        assert a.tracked_value == b.tracked_value
+        assert a.flags == b.flags
+        assert a.online_count == b.online_count
+        for x, y in zip(a.assignments, b.assignments):
+            assert [v.tobytes() for v in x] == [v.tobytes() for v in y]
+        assert new.index.cur_sig.dtype == ref.index.cur_sig.dtype
+        assert new.index.cur_sig.tobytes() == ref.index.cur_sig.tobytes()
+        assert new.index.stored.tobytes() == ref.index.stored.tobytes()
+        assert new.index.overlay == ref.index.overlay
 
 
 class TestValidation:

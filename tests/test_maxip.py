@@ -14,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from sketchmatch.core import NormBoundError, ParameterError, SeededRng
+from sketchmatch.core import NormBoundError, ParameterError, SeededRng, as_vector
 from sketchmatch.maxip import (
     DEFAULT_MAX_TABLES,
+    LshIndex,
     LshParams,
+    MaxIpResult,
     maxip_exponent,
     maxip_init,
     maxip_query,
@@ -288,6 +290,96 @@ class TestSignatureBookkeeping:
             maxip_update(idx, idx.n, np.zeros(idx.dim))
         with pytest.raises(NormBoundError):
             maxip_update(idx, 0, np.zeros(idx.dim))
+
+
+def _reference_query(index, q, cap=None):
+    """maxip_query with its former inline per-table gather, kept verbatim."""
+    q = as_vector(q, dim=index.dim)
+    LshIndex._check_unit(q[np.newaxis, :])
+    params = index.params
+    threshold = params.c * params.tau
+    if cap is None:
+        cap = 10 * params.n_tables
+
+    qsig = index._hash_one(q)
+    lo = index._row_bisect(qsig, "left")
+    hi = index._row_bisect(qsig, "right")
+    base_hits = np.nonzero(hi > lo)[0]
+
+    overlay_hits: set[int] = set()
+    if index.overlay:
+        for t in range(params.n_tables):
+            if index._overlay_key(t, qsig[t]) in index.overlay:
+                overlay_hits.add(t)
+
+    best_val = -math.inf
+    best_idx = -1
+    examined = 0
+    seen: set[int] = set()
+    tables = sorted(set(base_hits.tolist()) | overlay_hits)
+    for t in tables:
+        cand = []
+        sig_t = qsig[t]
+        for i in index.base_order[t, lo[t] : hi[t]]:
+            i = int(i)
+            if index.cur_sig[t, i] == sig_t and i not in seen:
+                seen.add(i)
+                cand.append(i)
+        if t in overlay_hits:
+            for i in index.overlay[index._overlay_key(t, sig_t)]:
+                if index.cur_sig[t, i] == sig_t and i not in seen:
+                    seen.add(i)
+                    cand.append(i)
+        if not cand:
+            continue
+        vals = index.stored[cand] @ q
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_idx = cand[j]
+        examined += len(cand)
+        if best_val >= threshold or examined >= cap:
+            break
+
+    if best_idx >= 0 and best_val >= threshold:
+        return MaxIpResult(found=True, index=best_idx, value=best_val)
+    return MaxIpResult(found=False)
+
+
+class TestQueryMatchesReference:
+    @pytest.mark.parametrize("rebuild_factor", [64, 1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_result_over_update_sequence(self, seed, rebuild_factor):
+        """Shared bucket gather returns the former loop's MaxIpResult.
+
+        Queries near a stored point exit early on a Found; random queries
+        mostly miss after scanning every table; a small cap stops the scan
+        by count.  With rebuild_factor=1 the overlay is folded into the base
+        every few updates.
+        """
+        rng = np.random.default_rng(700 + seed)
+        n, d = 60, 12
+        idx = maxip_init(_unit_rows(rng, n, d), c=0.9, tau=0.8, delta=0.2,
+                         seed=seed, rebuild_factor=rebuild_factor)
+        found = missed = overlay_queries = consolidations = 0
+        for _ in range(80):
+            appends = idx._overlay_appends
+            i = int(rng.integers(0, n))
+            z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
+            maxip_update(idx, i, z / np.linalg.norm(z))
+            consolidations += idx._overlay_appends < appends
+            near = idx.stored[int(rng.integers(0, n))] + 0.4 * _unit_rows(rng, 1, d)[0]
+            for q in (near / np.linalg.norm(near), _unit_rows(rng, 1, d)[0]):
+                overlay_queries += bool(idx.overlay)
+                for cap in (None, 3):
+                    got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
+                    assert (got.found, got.index) == (want.found, want.index)
+                    assert got.value == want.value or (
+                        math.isnan(got.value) and math.isnan(want.value))
+                    found += got.found
+                    missed += not got.found
+        assert found and missed and overlay_queries
+        assert consolidations if rebuild_factor == 1 else not consolidations
 
 
 class TestDeterminism:
