@@ -411,26 +411,27 @@ def main(argv=None) -> int:
     except (ParameterError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.sweep:
-        n_values = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
-        res = scaling_sweep(cfg, n_values)
-        text = format_sweep(res)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+    # A setting can also be out of a matcher's domain, which only shows
+    # once the run builds that matcher.
+    try:
+        if args.sweep:
+            n_values = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
+            text = format_sweep(scaling_sweep(cfg, n_values))
+            code = 0
         else:
-            sys.stdout.write(text)
-        return 0
+            reports = run_experiment(cfg)
+            text = render_report(reports, cfg.output_format)
+            code = exit_code(reports)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    reports = run_experiment(cfg)
-    text = render_report(reports, cfg.output_format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return exit_code(reports)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ n^rho * ln(1/delta) when K needs no rounding and otherwise keeps the miss
 probability at delta despite the integer K.  rho = ln(1/p1) / ln(1/p2) is
 recorded on the params for reference.
 
-Storage layout: per-table signatures live in a sorted base array (probed
-with a vectorized per-row binary search) plus a small overlay dict that
-absorbs updates; stale entries are filtered against the authoritative
+Storage layout: per-table signatures live in a sorted base array, probed
+for every table at once with one branchless binary search, plus an overlay
+that absorbs updates: an append-ordered (k, 3) int64 array of rows
+(table, signature, id).  A query gathers all bucket members of all tables
+in whole-array steps; stale entries are filtered against the authoritative
 per-point signature memo, and the base is re-sorted once the overlay grows
 past rebuild_factor updates' worth of entries.  Theoretical query/space
 exponents for other constructions are exposed through maxip_exponent.
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -79,6 +80,13 @@ class LshParams:
     p1: float
     p2: float
     rho: float
+    # Whether max_tables or the 62-bit signature limit cut the derived L or
+    # K; either voids the delta budget, and miss_prob = (1 - p1^K)^L is the
+    # per-query miss chance that the built index actually has for a pair at
+    # exactly tau.
+    capped_tables: bool = False
+    capped_bits: bool = False
+    miss_prob: float = math.nan
 
     @classmethod
     def derive(
@@ -98,12 +106,16 @@ class LshParams:
         p2 = 1.0 - math.acos(c * tau) / math.pi
         rho = math.log(1.0 / p1) / math.log(1.0 / p2)
         k_bits = max(1, math.ceil(math.log(n) / math.log(1.0 / p2)))
+        capped_bits = k_bits > 62
         k_bits = min(k_bits, 62)
-        n_tables = math.ceil(p1 ** (-k_bits) * math.log(1.0 / delta))
-        n_tables = min(max(1, n_tables), max_tables)
+        n_tables = max(1, math.ceil(p1 ** (-k_bits) * math.log(1.0 / delta)))
+        capped_tables = n_tables > max_tables
+        n_tables = min(n_tables, max_tables)
         return cls(
             c=c, tau=tau, delta=delta, n=n,
             k_bits=k_bits, n_tables=n_tables, p1=p1, p2=p2, rho=rho,
+            capped_tables=capped_tables, capped_bits=capped_bits,
+            miss_prob=(1.0 - p1**k_bits) ** n_tables,
         )
 
 
@@ -143,8 +155,6 @@ class LshIndex:
         self.rebuild_factor = int(rebuild_factor)
         # Authoritative per-point signatures, one row per table.
         self.cur_sig = self.hash_points(self.stored)
-        self.overlay: dict[int, list[int]] = {}
-        self._overlay_appends = 0
         self._consolidate()
 
     @staticmethod
@@ -156,6 +166,15 @@ class LshIndex:
     @property
     def n(self) -> int:
         return self.stored.shape[0]
+
+    @property
+    def overlay(self) -> np.ndarray:
+        """Rows (table, signature, id) appended since the last re-sort.
+
+        A (k, 3) view of a column-major buffer, so that each column a query
+        scans is contiguous.
+        """
+        return self._overlay_buf[:, : self._overlay_appends].T
 
     # -- hashing ------------------------------------------------------------
 
@@ -186,57 +205,90 @@ class LshIndex:
         order = np.argsort(self.cur_sig, axis=1, kind="stable")
         self.base_order = order.astype(np.int32)
         self.base_sig = np.take_along_axis(self.cur_sig, order, axis=1)
-        self.overlay.clear()
+        self._overlay_buf = np.empty((3, 0), dtype=np.int64)
         self._overlay_appends = 0
 
-    def _overlay_key(self, table: int, sig) -> int:
-        return (int(table) << 62) | int(sig)
+    def _append_overlay(self, tables: np.ndarray, sigs: np.ndarray, i: int) -> None:
+        k0 = self._overlay_appends
+        k1 = k0 + len(tables)
+        size = self._overlay_buf.shape[1]
+        if k1 > size:
+            grown = np.empty((3, max(k1, 2 * size)), dtype=np.int64)
+            grown[:, :k0] = self._overlay_buf[:, :k0]
+            self._overlay_buf = grown
+        cols = self._overlay_buf[:, k0:k1]
+        cols[0] = tables
+        cols[1] = sigs
+        cols[2] = i
+        self._overlay_appends = k1
 
-    def _row_bisect(self, keys: np.ndarray, side: str) -> np.ndarray:
-        """Per-table binary search of keys[l] within sorted row l of base_sig."""
+    def _bounds(self, qsig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range [lo, hi) of signature qsig[l] within sorted row l of base_sig.
+
+        Equal to per-row np.searchsorted on both sides.  One branchless
+        lower-bound search runs over 2L integer keys: qsig for the left side
+        and qsig + 1 for the right one.
+        """
         L, n = self.base_sig.shape
         flat = self.base_sig.ravel()
-        offsets = np.arange(L, dtype=np.int64) * n
-        lo = np.zeros(L, dtype=np.int64)
-        hi = np.full(L, n, dtype=np.int64)
-        for _ in range(int(n).bit_length() + 1):
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) >> 1
-            vals = flat[offsets + np.minimum(mid, n - 1)]
-            if side == "left":
-                go_right = vals < keys
-            else:
-                go_right = vals <= keys
-            go_right &= active
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-        return lo
+        keys = np.concatenate([qsig, qsig]).astype(np.uint64)
+        keys[L:] += np.uint64(1)
+        # pos is the flat offset of the search window's start in each row.
+        row0 = np.tile(np.arange(L, dtype=np.int64) * n, 2)
+        pos = row0.copy()
+        size = n
+        while size > 1:
+            half = size >> 1
+            pos += (flat[pos + half] < keys) * half
+            size -= half
+        pos += flat[pos] < keys
+        pos -= row0
+        return pos[:L], pos[L:]
 
     def bucket(self, table: int, sig) -> list[int]:
         """Current members of one bucket (base plus overlay, stale-filtered)."""
-        lo = int(np.searchsorted(self.base_sig[table], sig, side="left"))
-        hi = int(np.searchsorted(self.base_sig[table], sig, side="right"))
-        return self._gather(table, sig, lo, hi, set())
+        L = self.params.n_tables
+        key = np.full(L, -1, dtype=np.int64)
+        key[table] = sig
+        lo = np.zeros(L, dtype=np.int64)
+        hi = np.zeros(L, dtype=np.int64)
+        lo[table] = np.searchsorted(self.base_sig[table], sig, side="left")
+        hi[table] = np.searchsorted(self.base_sig[table], sig, side="right")
+        return self._gather(key, lo, hi)[1].tolist()
 
-    def _gather(self, table: int, sig, lo: int, hi: int,
-                seen: set[int]) -> list[int]:
-        """Members of bucket sig in one table that are not in seen yet.
+    def _gather(self, key: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members of bucket key[t] in every table t, in probe order.
 
-        Reads base_order[table, lo:hi] (the bucket's range in the sorted
-        base), then the bucket's overlay entries; an id whose current
-        signature in this table is no longer sig is stale and skipped.
-        Returned ids are added to seen.
+        Table t contributes base_order[t, lo[t]:hi[t]] (the bucket's range
+        in the sorted base), then its overlay rows with signature key[t] in
+        append order; key[t] = -1 matches no overlay row.  An id whose
+        current signature in its table is no longer key[t] is stale and
+        dropped, and of the rest only each id's first occurrence is kept.
+        Returns (tables, ids), grouped by ascending table.
         """
-        row = self.cur_sig[table]
-        out = []
-        for i in chain(self.base_order[table, lo:hi].tolist(),
-                       self.overlay.get(self._overlay_key(table, sig), ())):
-            if row[i] == sig and i not in seen:
-                seen.add(i)
-                out.append(i)
-        return out
+        L, n = self.base_order.shape
+        counts = hi - lo
+        tab = np.repeat(np.arange(L, dtype=np.int64), counts)
+        # Flat base_order offset of each member: row start + lo + rank in range.
+        start = np.repeat(np.arange(L, dtype=np.int64) * n + lo
+                          - (np.cumsum(counts) - counts), counts)
+        ids = self.base_order.ravel()[start + np.arange(len(tab))].astype(np.int64)
+        ov = self.overlay
+        ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0]])]
+        if len(ov):
+            # tab is sorted, so a stable sort by table puts each table's
+            # overlay members after its base range, in append order.
+            tab = np.concatenate([tab, ov[:, 0]])
+            order = np.argsort(tab, kind="stable")
+            tab, ids = tab[order], np.concatenate([ids, ov[:, 2]])[order]
+        fresh = self.cur_sig[tab, ids].astype(np.int64) == key[tab]
+        tab, ids = tab[fresh], ids[fresh]
+        rank = np.arange(len(ids))
+        first = np.full(n, len(ids), dtype=np.int64)
+        np.minimum.at(first, ids, rank)
+        keep = first[ids] == rank
+        return tab[keep], ids[keep]
 
     def logical_buckets(self, table: int) -> dict[int, list[int]]:
         """Canonical view of one table: signature -> sorted point ids."""
@@ -269,12 +321,9 @@ def maxip_update(index: LshIndex, i: int, new_point) -> None:
     LshIndex._check_unit(z[np.newaxis, :])
     index.stored[i] = z
     new_sig = index._hash_one(z)
-    changed = np.nonzero(new_sig != index.cur_sig[:, i])[0]
+    changed = np.flatnonzero(new_sig != index.cur_sig[:, i])
     index.cur_sig[:, i] = new_sig
-    for t in changed.tolist():
-        key = index._overlay_key(t, new_sig[t])
-        index.overlay.setdefault(key, []).append(i)
-    index._overlay_appends += len(changed)
+    index._append_overlay(changed, new_sig[changed], i)
     if index._overlay_appends > index.rebuild_factor * index.params.n_tables:
         index._consolidate()
 
@@ -282,9 +331,10 @@ def maxip_update(index: LshIndex, i: int, new_point) -> None:
 def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     """Probe the query's bucket in every table, best candidate wins.
 
-    Probes tables in order, evaluating exact inner products of candidates;
-    stops early once some candidate reaches c * tau (the best candidate seen
-    so far is returned) or after examining 10 * L candidates.
+    Scores tables in order, evaluating exact inner products of each table's
+    new candidates; stops early once some candidate reaches c * tau (the
+    best candidate seen so far is returned) or after examining 10 * L
+    candidates.
     """
     q = as_vector(q, dim=index.dim)
     LshIndex._check_unit(q[np.newaxis, :])
@@ -294,31 +344,24 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
         cap = 10 * params.n_tables
 
     qsig = index._hash_one(q)
-    lo = index._row_bisect(qsig, "left")
-    hi = index._row_bisect(qsig, "right")
-    base_hits = np.nonzero(hi > lo)[0]
-
-    overlay_hits: set[int] = set()
-    if index.overlay:
-        for t in range(params.n_tables):
-            if index._overlay_key(t, qsig[t]) in index.overlay:
-                overlay_hits.add(t)
+    lo, hi = index._bounds(qsig)
+    tab, ids = index._gather(qsig.astype(np.int64), lo, hi)
 
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    seen: set[int] = set()
-    tables = sorted(set(base_hits.tolist()) | overlay_hits)
-    for t in tables:
-        cand = index._gather(t, qsig[t], lo[t], hi[t], seen)
-        if not cand:
-            continue
+    # One GEMV per table: BLAS may round a row differently in a larger batch.
+    cuts = (np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(ids)]):
+        if a == b:  # nothing gathered: the one range is (0, 0)
+            break
+        cand = ids[a:b]
         vals = index.stored[cand] @ q
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])
-            best_idx = cand[j]
-        examined += len(cand)
+            best_idx = int(cand[j])
+        examined += b - a
         if best_val >= threshold or examined >= cap:
             break
 

@@ -367,6 +367,15 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_run_time_parameter_error_exits_2(self, capsys):
+        """A setting outside a matcher's domain surfaces while the run builds it."""
+        rc = main(["--matcher", "DistanceMatching", "--n", "8", "--m", "4",
+                   "--dim", "4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_json_stdout(self, capsys):
         rc = main(["--n", "8", "--m", "4", "--dim", "4",
                    "--format", "json"])

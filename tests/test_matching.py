@@ -509,7 +509,7 @@ class TestHashedMatcherOnSharedSkeleton:
         assert new.index.cur_sig.dtype == ref.index.cur_sig.dtype
         assert new.index.cur_sig.tobytes() == ref.index.cur_sig.tobytes()
         assert new.index.stored.tobytes() == ref.index.stored.tobytes()
-        assert new.index.overlay == ref.index.overlay
+        assert new.index.overlay.tobytes() == ref.index.overlay.tobytes()
 
 
 class TestValidation:

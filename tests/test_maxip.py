@@ -87,6 +87,21 @@ class TestParams:
         p = LshParams.derive(5000, c=0.9, tau=0.5, delta=0.1, max_tables=7)
         assert p.n_tables == 7
 
+    def test_caps_are_reported(self):
+        """A capped L or K says so, with the miss chance the index really has."""
+        p = LshParams.derive(1024, c=0.8, tau=0.25, delta=0.1 / 1024, max_tables=256)
+        assert p.capped_tables and not p.capped_bits
+        assert p.n_tables == 256
+        assert p.miss_prob == (1.0 - p.p1**p.k_bits) ** 256
+        assert abs(p.miss_prob - 0.805) < 5e-4
+        assert p.miss_prob > p.delta
+        free = LshParams.derive(1024, c=0.8, tau=0.25, delta=0.1 / 1024,
+                                max_tables=1 << 30)
+        assert not free.capped_tables and free.n_tables == 10881
+        assert free.miss_prob <= free.delta
+        wide = LshParams.derive(1000, c=0.99, tau=0.99, delta=0.1, max_tables=8)
+        assert wide.capped_bits and wide.k_bits == 62
+
     def test_domain_errors(self):
         good = dict(n=10, c=0.5, tau=0.5, delta=0.1, max_tables=8)
         for field, bad in [
@@ -243,6 +258,30 @@ class TestSignatureBookkeeping:
         assert idx._overlay_appends == appends_before
         np.testing.assert_array_equal(idx.cur_sig, sig_before)
 
+    def test_overlay_rows_and_emptiness(self):
+        """The overlay holds (table, sig, id) per changed table until a re-sort."""
+        rng = np.random.default_rng(8)
+        idx = maxip_init(_unit_rows(rng, 40, 10), c=0.7, tau=0.5, delta=0.2,
+                         seed=4, rebuild_factor=1)
+        assert len(idx.overlay) == 0 and idx.overlay.shape == (0, 3)
+        emptied = grown = 0
+        for _ in range(60):
+            i = int(rng.integers(0, 40))
+            before, rows = idx.cur_sig[:, i].copy(), len(idx.overlay)
+            maxip_update(idx, i, _unit_rows(rng, 1, 10)[0])
+            changed = np.flatnonzero(idx.cur_sig[:, i] != before)
+            if rows + len(changed) > idx.params.n_tables:
+                assert len(idx.overlay) == 0
+                emptied += 1
+            elif len(changed):
+                assert len(idx.overlay) == rows + len(changed) > 0
+                np.testing.assert_array_equal(
+                    idx.overlay[rows:],
+                    np.column_stack([changed, idx.cur_sig[changed, i],
+                                     np.full(len(changed), i)]))
+                grown += 1
+        assert emptied and grown
+
     def test_consolidation_clears_overlay_and_preserves_view(self):
         rng = np.random.default_rng(9)
         idx = maxip_init(
@@ -292,8 +331,34 @@ class TestSignatureBookkeeping:
             maxip_update(idx, 0, np.zeros(idx.dim))
 
 
+def _reference_candidates(index, qsig):
+    """(table, new candidate ids) per table, from a per-table Python loop.
+
+    Bucket bounds come from per-row np.searchsorted and overlay members from
+    a scan of index.overlay's rows in append order; tables without a new
+    candidate are left out.
+    """
+    overlay: dict[int, list[int]] = {}
+    for t, s, i in index.overlay.tolist():
+        if s == qsig[t]:
+            overlay.setdefault(t, []).append(i)
+    seen: set[int] = set()
+    out = []
+    for t, (row, sig_t) in enumerate(zip(index.base_sig, qsig)):
+        lo = int(np.searchsorted(row, sig_t, side="left"))
+        hi = int(np.searchsorted(row, sig_t, side="right"))
+        cand = []
+        for i in index.base_order[t, lo:hi].tolist() + overlay.get(t, []):
+            if index.cur_sig[t, i] == sig_t and i not in seen:
+                seen.add(i)
+                cand.append(i)
+        if cand:
+            out.append((t, cand))
+    return out
+
+
 def _reference_query(index, q, cap=None):
-    """maxip_query with its former inline per-table gather, kept verbatim."""
+    """maxip_query as the former per-table Python loop."""
     q = as_vector(q, dim=index.dim)
     LshIndex._check_unit(q[np.newaxis, :])
     params = index.params
@@ -301,37 +366,10 @@ def _reference_query(index, q, cap=None):
     if cap is None:
         cap = 10 * params.n_tables
 
-    qsig = index._hash_one(q)
-    lo = index._row_bisect(qsig, "left")
-    hi = index._row_bisect(qsig, "right")
-    base_hits = np.nonzero(hi > lo)[0]
-
-    overlay_hits: set[int] = set()
-    if index.overlay:
-        for t in range(params.n_tables):
-            if index._overlay_key(t, qsig[t]) in index.overlay:
-                overlay_hits.add(t)
-
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    seen: set[int] = set()
-    tables = sorted(set(base_hits.tolist()) | overlay_hits)
-    for t in tables:
-        cand = []
-        sig_t = qsig[t]
-        for i in index.base_order[t, lo[t] : hi[t]]:
-            i = int(i)
-            if index.cur_sig[t, i] == sig_t and i not in seen:
-                seen.add(i)
-                cand.append(i)
-        if t in overlay_hits:
-            for i in index.overlay[index._overlay_key(t, sig_t)]:
-                if index.cur_sig[t, i] == sig_t and i not in seen:
-                    seen.add(i)
-                    cand.append(i)
-        if not cand:
-            continue
+    for _, cand in _reference_candidates(index, index._hash_one(q)):
         vals = index.stored[cand] @ q
         j = int(np.argmax(vals))
         if vals[j] > best_val:
@@ -346,11 +384,39 @@ def _reference_query(index, q, cap=None):
     return MaxIpResult(found=False)
 
 
+def _compare_over_update_sequence(idx, rng, rebuild_factor):
+    """Interleave updates with queries; each query must match the reference."""
+    n, d = idx.n, idx.dim
+    found = missed = overlay_queries = consolidations = 0
+    for _ in range(80):
+        appends = idx._overlay_appends
+        i = int(rng.integers(0, n))
+        z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
+        maxip_update(idx, i, z / np.linalg.norm(z))
+        consolidations += idx._overlay_appends < appends
+        near = idx.stored[int(rng.integers(0, n))] + 0.4 * _unit_rows(rng, 1, d)[0]
+        for q in (near / np.linalg.norm(near), _unit_rows(rng, 1, d)[0]):
+            overlay_queries += len(idx.overlay) > 0
+            qsig = idx._hash_one(q)
+            tab, ids = idx._gather(qsig.astype(np.int64), *idx._bounds(qsig))
+            assert list(zip(tab.tolist(), ids.tolist())) == [
+                (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
+            for cap in (None, 3):
+                got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
+                assert (got.found, got.index) == (want.found, want.index)
+                assert got.value == want.value or (
+                    math.isnan(got.value) and math.isnan(want.value))
+                found += got.found
+                missed += not got.found
+    assert found and missed and overlay_queries
+    assert consolidations if rebuild_factor == 1 else not consolidations
+
+
 class TestQueryMatchesReference:
     @pytest.mark.parametrize("rebuild_factor", [64, 1])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_result_over_update_sequence(self, seed, rebuild_factor):
-        """Shared bucket gather returns the former loop's MaxIpResult.
+        """The vectorized probe returns the former loop's MaxIpResult.
 
         Queries near a stored point exit early on a Found; random queries
         mostly miss after scanning every table; a small cap stops the scan
@@ -361,25 +427,46 @@ class TestQueryMatchesReference:
         n, d = 60, 12
         idx = maxip_init(_unit_rows(rng, n, d), c=0.9, tau=0.8, delta=0.2,
                          seed=seed, rebuild_factor=rebuild_factor)
-        found = missed = overlay_queries = consolidations = 0
-        for _ in range(80):
-            appends = idx._overlay_appends
-            i = int(rng.integers(0, n))
-            z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
-            maxip_update(idx, i, z / np.linalg.norm(z))
-            consolidations += idx._overlay_appends < appends
-            near = idx.stored[int(rng.integers(0, n))] + 0.4 * _unit_rows(rng, 1, d)[0]
-            for q in (near / np.linalg.norm(near), _unit_rows(rng, 1, d)[0]):
-                overlay_queries += bool(idx.overlay)
-                for cap in (None, 3):
-                    got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
-                    assert (got.found, got.index) == (want.found, want.index)
-                    assert got.value == want.value or (
-                        math.isnan(got.value) and math.isnan(want.value))
-                    found += got.found
-                    missed += not got.found
-        assert found and missed and overlay_queries
-        assert consolidations if rebuild_factor == 1 else not consolidations
+        _compare_over_update_sequence(idx, rng, rebuild_factor)
+
+    @pytest.mark.parametrize("rebuild_factor", [128, 1])
+    def test_same_result_with_uint64_signatures(self, rebuild_factor):
+        """As above for an index with K > 32 bits per signature.
+
+        The 80 updates here append more than 64 updates' worth of overlay
+        rows, so the unconsolidated case uses 128.
+        """
+        rng = np.random.default_rng(710)
+        idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95,
+                         delta=0.2, seed=3, rebuild_factor=rebuild_factor)
+        assert idx.params.k_bits > 32 and idx.sig_dtype == np.uint64
+        _compare_over_update_sequence(idx, rng, rebuild_factor)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    @pytest.mark.parametrize("n", [1, 64, 37])
+    def test_bounds_equal_per_row_searchsorted(self, n, dtype):
+        """Both sides agree with np.searchsorted below, above and at duplicates.
+
+        Rows are drawn from a few values, the top one the largest signature
+        the dtype can hold, so most keys hit runs of equal signatures.
+        """
+        rng = np.random.default_rng(n)
+        idx = maxip_init(_unit_rows(rng, n, 6), c=0.5, tau=0.5, delta=0.2, seed=n)
+        L = idx.params.n_tables
+        top = (1 << 32) - 1 if dtype == np.uint32 else (1 << 62) - 1
+        values = np.array([3, 4, 9, top - 1, top], dtype=dtype)
+        idx.base_sig = np.sort(values[rng.integers(0, 5, size=(L, n))], axis=1)
+        keys = np.array([0, 2, 3, 4, 5, 9, 10, top - 2, top - 1, top], dtype=dtype)
+        for qsig in [np.full(L, k, dtype=dtype) for k in keys] + [
+            keys[rng.integers(0, len(keys), size=L)] for _ in range(20)
+        ]:
+            lo, hi = idx._bounds(qsig)
+            for t in range(L):
+                row = idx.base_sig[t]
+                assert lo[t] == np.searchsorted(row, qsig[t], side="left")
+                assert hi[t] == np.searchsorted(row, qsig[t], side="right")
 
 
 class TestDeterminism:
