@@ -7,7 +7,16 @@ deterministic functions of (config, seed) once latency measurement is off;
 the same runs are reachable from the command line via `sketchmatch-bench`.
 """
 
-from sketchmatch.bench import (
+import os
+
+# One BLAS thread, set before numpy is first imported, as the root
+# conftest.py does: the sweep times one small BLAS call at a time, and on a
+# two-core host a second OpenBLAS thread can stall each call by
+# milliseconds.  An explicit setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from sketchmatch.bench import (  # noqa: E402
     ExperimentConfig,
     exit_code,
     format_sweep,

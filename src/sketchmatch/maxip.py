@@ -20,13 +20,19 @@ probability at delta despite the integer K.  rho = ln(1/p1) / ln(1/p2) is
 recorded on the params for reference.
 
 Storage layout: per-table signatures live in a sorted base array, probed
-for every table at once with one branchless binary search, plus an overlay
-that absorbs updates: an append-ordered (k, 3) int64 array of rows
-(table, signature, id).  A query gathers all bucket members of all tables
-in whole-array steps; stale entries are filtered against the authoritative
-per-point signature memo, and the base is re-sorted once the overlay grows
-past rebuild_factor updates' worth of entries.  Theoretical query/space
-exponents for other constructions are exposed through maxip_exponent.
+for a range of tables at once with one branchless binary search, plus an
+overlay that absorbs updates: an append-ordered (k, 3) int64 array of rows
+(table, signature, id).  The rows of the first _HEAD_TABLES tables are also
+kept in a small head buffer.  A query probes in two stages: it hashes,
+bisects and gathers the head tables first, in whole-array steps, scanning
+only the head buffer, and does the same for the other tables only when the
+head neither reaches c * tau nor the candidate cap.  A mask of the ids
+already gathered carries across the stages, so the result equals that of
+one probe over all L tables.  Stale entries are filtered against the
+authoritative per-point signature memo, and the base is re-sorted once the
+overlay grows past rebuild_factor updates' worth of entries.  Theoretical
+query/space exponents for other constructions are exposed through
+maxip_exponent.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ DEFAULT_MAX_TABLES = 32768
 UNIT_TOL = 1e-6
 # Output budget per hashing GEMM chunk, in float32 elements.
 _CHUNK_BUDGET = 1 << 24
+# Tables in a query's first probe stage; the rest are probed only when these
+# give no answer.
+_HEAD_TABLES = 128
 
 
 def maxip_exponent(c: float, tau: float, regime: str = "time") -> float:
@@ -67,6 +76,25 @@ def maxip_exponent(c: float, tau: float, regime: str = "time") -> float:
         r = (1.0 - tau) / (1.0 - c * tau)
         return 2.0 * r**2 - r**4
     raise ParameterError(f"unknown regime {regime!r}")
+
+
+def _append_rows(buf: np.ndarray, used: int, tables: np.ndarray,
+                 sigs: np.ndarray, i: int) -> np.ndarray:
+    """Write rows (tables[j], sigs[j], i) after the first `used` columns.
+
+    buf is a (3, capacity) int64 buffer of rows stored column by column; it
+    doubles when full, and the buffer holding the rows is returned.
+    """
+    k1 = used + len(tables)
+    if k1 > buf.shape[1]:
+        grown = np.empty((3, max(k1, 2 * buf.shape[1])), dtype=np.int64)
+        grown[:, :used] = buf[:, :used]
+        buf = grown
+    cols = buf[:, used:k1]
+    cols[0] = tables
+    cols[1] = sigs
+    cols[2] = i
+    return buf
 
 
 @dataclass(frozen=True)
@@ -124,6 +152,10 @@ class MaxIpResult:
     found: bool
     index: int = -1
     value: float = math.nan
+    # Tables whose bucket the query hashed and gathered, and candidates whose
+    # inner product it computed.
+    tables_hashed: int = 0
+    examined: int = 0
 
 
 class LshIndex:
@@ -178,21 +210,28 @@ class LshIndex:
 
     # -- hashing ------------------------------------------------------------
 
-    def hash_points(self, pts: np.ndarray) -> np.ndarray:
-        """Signatures of the given points: (L, batch) array of K-bit keys."""
-        L, K = self.params.n_tables, self.params.k_bits
+    def hash_points(self, pts: np.ndarray, t0: int = 0,
+                    t1: int | None = None) -> np.ndarray:
+        """Signatures of the given points in tables [t0, t1) (default: all).
+
+        Returns a (t1 - t0, batch) array of K-bit keys; bit k of a key is
+        the sign of the table's k-th hyperplane.
+        """
+        K = self.params.k_bits
+        t1 = self.params.n_tables if t1 is None else t1
         x32 = np.ascontiguousarray(pts.T, dtype=np.float32)  # (d, b)
         b = x32.shape[1]
-        sig = np.empty((L, b), dtype=self.sig_dtype)
+        sig = np.empty((t1 - t0, b), dtype=self.sig_dtype)
+        # Exact integer packing: the bits are disjoint, so the sum never carries.
+        weights = self.sig_dtype(1) << np.arange(K, dtype=self.sig_dtype)
         tables_per_chunk = max(1, _CHUNK_BUDGET // max(K * b, 1))
-        for t0 in range(0, L, tables_per_chunk):
-            t1 = min(L, t0 + tables_per_chunk)
-            block = self.planes[t0 * K : t1 * K] @ x32  # ((t1-t0)*K, b)
-            bits = (block > 0).reshape(t1 - t0, K, b)
-            acc = np.zeros((t1 - t0, b), dtype=self.sig_dtype)
-            for k in range(K):
-                acc |= bits[:, k, :].astype(self.sig_dtype) << self.sig_dtype(k)
-            sig[t0:t1] = acc
+        for a in range(t0, t1, tables_per_chunk):
+            z = min(t1, a + tables_per_chunk)
+            bits = (self.planes[a * K : z * K] @ x32 > 0).reshape(z - a, K, b)
+            # einsum casts a uint8 view in buffered blocks, which is fastest
+            # for a batch; for one vector an integer copy first is faster.
+            bits = bits.astype(self.sig_dtype) if b == 1 else bits.view(np.uint8)
+            sig[a - t0 : z - t0] = np.einsum("tkb,k->tb", bits, weights)
         return sig
 
     def _hash_one(self, v: np.ndarray) -> np.ndarray:
@@ -207,34 +246,34 @@ class LshIndex:
         self.base_sig = np.take_along_axis(self.cur_sig, order, axis=1)
         self._overlay_buf = np.empty((3, 0), dtype=np.int64)
         self._overlay_appends = 0
+        # The overlay's rows with table < _HEAD_TABLES, in the same layout.
+        self._head_buf = np.empty((3, 0), dtype=np.int64)
+        self._head_appends = 0
 
     def _append_overlay(self, tables: np.ndarray, sigs: np.ndarray, i: int) -> None:
-        k0 = self._overlay_appends
-        k1 = k0 + len(tables)
-        size = self._overlay_buf.shape[1]
-        if k1 > size:
-            grown = np.empty((3, max(k1, 2 * size)), dtype=np.int64)
-            grown[:, :k0] = self._overlay_buf[:, :k0]
-            self._overlay_buf = grown
-        cols = self._overlay_buf[:, k0:k1]
-        cols[0] = tables
-        cols[1] = sigs
-        cols[2] = i
-        self._overlay_appends = k1
+        """Append rows (tables[j], sigs[j], i); tables must be ascending."""
+        h = int(np.searchsorted(tables, _HEAD_TABLES))
+        self._head_buf = _append_rows(self._head_buf, self._head_appends,
+                                      tables[:h], sigs[:h], i)
+        self._head_appends += h
+        self._overlay_buf = _append_rows(self._overlay_buf, self._overlay_appends,
+                                         tables, sigs, i)
+        self._overlay_appends += len(tables)
 
-    def _bounds(self, qsig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Range [lo, hi) of signature qsig[l] within sorted row l of base_sig.
+    def _bounds(self, qsig: np.ndarray, t0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Range [lo, hi) of signature qsig[l] within sorted row t0 + l of base_sig.
 
         Equal to per-row np.searchsorted on both sides.  One branchless
-        lower-bound search runs over 2L integer keys: qsig for the left side
-        and qsig + 1 for the right one.
+        lower-bound search runs over 2 len(qsig) integer keys: qsig for the
+        left side and qsig + 1 for the right one.
         """
-        L, n = self.base_sig.shape
-        flat = self.base_sig.ravel()
+        L, n = len(qsig), self.base_sig.shape[1]
+        flat = self.base_sig[t0 : t0 + L].ravel()
         keys = np.concatenate([qsig, qsig]).astype(np.uint64)
         keys[L:] += np.uint64(1)
         # pos is the flat offset of the search window's start in each row.
-        row0 = np.tile(np.arange(L, dtype=np.int64) * n, 2)
+        row0 = np.arange(L, dtype=np.int64) * n
+        row0 = np.concatenate([row0, row0])  # np.tile costs more per call
         pos = row0.copy()
         size = n
         while size > 1:
@@ -256,25 +295,36 @@ class LshIndex:
         hi[table] = np.searchsorted(self.base_sig[table], sig, side="right")
         return self._gather(key, lo, hi)[1].tolist()
 
-    def _gather(self, key: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Members of bucket key[t] in every table t, in probe order.
+    def _gather(self, key: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                t0: int = 0, seen: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Members of bucket key[j] in table t = t0 + j, in probe order.
 
-        Table t contributes base_order[t, lo[t]:hi[t]] (the bucket's range
-        in the sorted base), then its overlay rows with signature key[t] in
-        append order; key[t] = -1 matches no overlay row.  An id whose
-        current signature in its table is no longer key[t] is stale and
-        dropped, and of the rest only each id's first occurrence is kept.
-        Returns (tables, ids), grouped by ascending table.
+        Table t contributes base_order[t, lo[j]:hi[j]] (the bucket's range
+        in the sorted base), then its overlay rows with signature key[j] in
+        append order; key[j] = -1 matches no overlay row.  An id whose
+        current signature in its table is no longer key[j] is stale and
+        dropped, as is an id marked in the boolean mask seen; of the rest
+        only each id's first occurrence is kept.  Returns (tables, ids),
+        grouped by ascending table.
         """
         L, n = self.base_order.shape
+        t1 = t0 + len(key)
+        if len(key) < L:  # index key by table; other tables match nothing
+            key = np.concatenate([np.full(t0, -1, dtype=np.int64), key,
+                                  np.full(L - t1, -1, dtype=np.int64)])
         counts = hi - lo
-        tab = np.repeat(np.arange(L, dtype=np.int64), counts)
+        tables = np.arange(t0, t1, dtype=np.int64)
+        tab = np.repeat(tables, counts)
         # Flat base_order offset of each member: row start + lo + rank in range.
-        start = np.repeat(np.arange(L, dtype=np.int64) * n + lo
-                          - (np.cumsum(counts) - counts), counts)
+        start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
         ids = self.base_order.ravel()[start + np.arange(len(tab))].astype(np.int64)
-        ov = self.overlay
+        # Overlay rows of the tables in range: all in the head buffer for a
+        # range inside the head.
+        if t1 <= _HEAD_TABLES:
+            ov = self._head_buf[:, : self._head_appends].T
+        else:
+            ov = self.overlay
         ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0]])]
         if len(ov):
             # tab is sorted, so a stable sort by table puts each table's
@@ -283,6 +333,8 @@ class LshIndex:
             order = np.argsort(tab, kind="stable")
             tab, ids = tab[order], np.concatenate([ids, ov[:, 2]])[order]
         fresh = self.cur_sig[tab, ids].astype(np.int64) == key[tab]
+        if seen is not None:
+            fresh &= ~seen[ids]
         tab, ids = tab[fresh], ids[fresh]
         rank = np.arange(len(ids))
         first = np.full(n, len(ids), dtype=np.int64)
@@ -334,37 +386,48 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     Scores tables in order, evaluating exact inner products of each table's
     new candidates; stops early once some candidate reaches c * tau (the
     best candidate seen so far is returned) or after examining 10 * L
-    candidates.
+    candidates.  The first _HEAD_TABLES tables are hashed and gathered
+    first, the others only if scoring the head did not stop; the result is
+    the same as for one probe over all tables.
     """
     q = as_vector(q, dim=index.dim)
     LshIndex._check_unit(q[np.newaxis, :])
     params = index.params
+    L = params.n_tables
     threshold = params.c * params.tau
     if cap is None:
-        cap = 10 * params.n_tables
-
-    qsig = index._hash_one(q)
-    lo, hi = index._bounds(qsig)
-    tab, ids = index._gather(qsig.astype(np.int64), lo, hi)
+        cap = 10 * L
 
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    # One GEMV per table: BLAS may round a row differently in a larger batch.
-    cuts = (np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist()
-    for a, b in zip([0] + cuts, cuts + [len(ids)]):
-        if a == b:  # nothing gathered: the one range is (0, 0)
+    stop = False
+    seen = np.zeros(index.n, dtype=bool)
+    for t0, t1 in ((0, min(L, _HEAD_TABLES)), (_HEAD_TABLES, L)):
+        if stop or t0 >= t1:
             break
-        cand = ids[a:b]
-        vals = index.stored[cand] @ q
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_idx = int(cand[j])
-        examined += b - a
-        if best_val >= threshold or examined >= cap:
-            break
+        hashed = t1
+        qsig = index.hash_points(q[np.newaxis, :], t0, t1)[:, 0]
+        tab, ids = index._gather(qsig.astype(np.int64), *index._bounds(qsig, t0),
+                                 t0, seen)
+        seen[ids] = True
+        block = index.stored[ids]
+        # One GEMV per table: BLAS may round a row differently in a larger batch.
+        cuts = (np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [len(ids)]):
+            if a == b:  # nothing gathered: the one range is (0, 0)
+                break
+            vals = block[a:b] @ q
+            j = int(vals.argmax())
+            if vals[j] > best_val:
+                best_val = float(vals[j])
+                best_idx = int(ids[a + j])
+            examined += b - a
+            stop = best_val >= threshold or examined >= cap
+            if stop:
+                break
 
     if best_idx >= 0 and best_val >= threshold:
-        return MaxIpResult(found=True, index=best_idx, value=best_val)
-    return MaxIpResult(found=False)
+        return MaxIpResult(found=True, index=best_idx, value=best_val,
+                           tables_hashed=hashed, examined=examined)
+    return MaxIpResult(found=False, tables_hashed=hashed, examined=examined)

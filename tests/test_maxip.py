@@ -10,12 +10,15 @@ agree bitwise with rehashing the stored points after any update sequence.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sketchmatch.core import NormBoundError, ParameterError, SeededRng, as_vector
+from sketchmatch.core import NormBoundError, ParameterError, PointSet, SeededRng, as_vector
+from sketchmatch.matching import match_init
 from sketchmatch.maxip import (
+    _HEAD_TABLES,
     DEFAULT_MAX_TABLES,
     LshIndex,
     LshParams,
@@ -32,14 +35,19 @@ def _unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _planted(rng, p, ip):
+    """A unit vector at inner product ip with the unit vector p."""
+    u = rng.standard_normal(len(p))
+    u -= (u @ p) * p
+    u /= np.linalg.norm(u)
+    return ip * p + math.sqrt(1.0 - ip * ip) * u
+
+
 def _with_planted(rng, n, d, tau):
     """Random unit rows with row 0 replaced by a point at exact ip tau to q."""
     pts = _unit_rows(rng, n, d)
     q = _unit_rows(rng, 1, d)[0]
-    u = rng.standard_normal(d)
-    u -= (u @ q) * q
-    u /= np.linalg.norm(u)
-    pts[0] = tau * q + math.sqrt(1.0 - tau * tau) * u
+    pts[0] = _planted(rng, q, tau)
     return pts, q
 
 
@@ -380,8 +388,16 @@ def _reference_query(index, q, cap=None):
             break
 
     if best_idx >= 0 and best_val >= threshold:
-        return MaxIpResult(found=True, index=best_idx, value=best_val)
-    return MaxIpResult(found=False)
+        return MaxIpResult(found=True, index=best_idx, value=best_val,
+                           examined=examined)
+    return MaxIpResult(found=False, examined=examined)
+
+
+def _assert_same_result(got, want):
+    assert (got.found, got.index, got.examined) == (want.found, want.index,
+                                                    want.examined)
+    assert got.value == want.value or (
+        math.isnan(got.value) and math.isnan(want.value))
 
 
 def _compare_over_update_sequence(idx, rng, rebuild_factor):
@@ -403,9 +419,7 @@ def _compare_over_update_sequence(idx, rng, rebuild_factor):
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
             for cap in (None, 3):
                 got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
-                assert (got.found, got.index) == (want.found, want.index)
-                assert got.value == want.value or (
-                    math.isnan(got.value) and math.isnan(want.value))
+                _assert_same_result(got, want)
                 found += got.found
                 missed += not got.found
     assert found and missed and overlay_queries
@@ -441,6 +455,153 @@ class TestQueryMatchesReference:
                          delta=0.2, seed=3, rebuild_factor=rebuild_factor)
         assert idx.params.k_bits > 32 and idx.sig_dtype == np.uint64
         _compare_over_update_sequence(idx, rng, rebuild_factor)
+
+
+def _compare_two_stage(idx, rng):
+    """Interleave updates with queries on an index of L >= 3 H tables.
+
+    Each query must match the one-stage reference for cap None, 3 and one
+    more than the head's candidate count, which the head alone cannot
+    reach.  Queries at inner product just above c * tau with a stored point
+    collide with it in a late table now and then.  Returns counts of how the
+    queries ended and of what the overlay held.
+    """
+    n, d, L = idx.n, idx.dim, idx.params.n_tables
+    threshold = idx.params.c * idx.params.tau
+    ends = Counter()
+    for _ in range(30):
+        appends = idx._overlay_appends
+        i = int(rng.integers(0, n))
+        z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
+        maxip_update(idx, i, z / np.linalg.norm(z))
+        ends["consolidations"] += idx._overlay_appends < appends
+        # The head buffer holds exactly the overlay's rows of head tables.
+        np.testing.assert_array_equal(idx._head_buf[:, : idx._head_appends].T,
+                                      idx.overlay[idx.overlay[:, 0] < _HEAD_TABLES])
+        ends["head rows"] += idx._head_appends > 0
+        ends["tail rows"] += bool(np.any(idx.overlay[:, 0] >= _HEAD_TABLES))
+        p = idx.stored[int(rng.integers(0, n))]
+        for q in (_planted(rng, p, threshold + 0.02), _unit_rows(rng, 1, d)[0]):
+            head = sum(len(cand) for t, cand in
+                       _reference_candidates(idx, idx._hash_one(q)) if t < _HEAD_TABLES)
+            for cap in (None, 3, head + 1):
+                got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
+                _assert_same_result(got, want)
+                assert got.tables_hashed in (_HEAD_TABLES, L)
+                stage = "head" if got.tables_hashed == _HEAD_TABLES else "tail"
+                if cap is None:
+                    ends["found" if got.found else "missed", stage] += 1
+                elif cap == head + 1 and stage == "tail" and got.examined >= cap:
+                    ends["cap in tail"] += 1
+    return ends
+
+
+def _many_tables_index(rng, dtype, rebuild_factor):
+    """An index of L >= 3 H tables with K <= 32 (uint32) or K > 32 (uint64)."""
+    if dtype == np.uint32:
+        idx = maxip_init(_unit_rows(rng, 60, 12), c=0.9, tau=0.7, delta=1e-4,
+                         seed=5, rebuild_factor=rebuild_factor)
+    else:
+        idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95,
+                         delta=1e-6, seed=6, rebuild_factor=rebuild_factor)
+    assert idx.params.n_tables >= 3 * _HEAD_TABLES and idx.sig_dtype == dtype
+    return idx
+
+
+class TestTwoStageProbe:
+    @pytest.mark.parametrize("rebuild_factor", [64, 1])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_same_result_as_one_stage_probe(self, dtype, rebuild_factor):
+        """Head-then-tail probing returns the full probe's MaxIpResult.
+
+        Queries end Found in the head, Found in the tail, missed, and
+        stopped by a cap in the tail; the overlay holds rows of head and of
+        tail tables, and with rebuild_factor=1 it is folded into the base
+        every few updates.
+        """
+        rng = np.random.default_rng(720)
+        idx = _many_tables_index(rng, dtype, rebuild_factor)
+        ends = _compare_two_stage(idx, rng)
+        for end in [("found", "head"), ("found", "tail"), ("missed", "tail"),
+                    "cap in tail", "head rows", "tail rows"]:
+            assert ends[end], (end, ends)
+        assert ends["missed", "head"] == 0
+        assert ends["consolidations"] if rebuild_factor == 1 else not ends["consolidations"]
+
+    def test_counters(self):
+        """A query near a stored point hashes the head only; a miss, every table."""
+        rng = np.random.default_rng(721)
+        idx = _many_tables_index(rng, np.uint32, 64)
+        L = idx.params.n_tables
+        near = idx.stored[7] + 0.05 * _unit_rows(rng, 1, idx.dim)[0]
+        r = maxip_query(idx, near / np.linalg.norm(near))
+        assert r.found and r.tables_hashed == _HEAD_TABLES and r.examined >= 1
+        # Orthogonal to every stored point: no candidate can reach c * tau.
+        d = 40
+        idx = maxip_init(np.eye(d)[: d - 1], c=0.9, tau=0.7, delta=1e-4, seed=3)
+        assert idx.params.n_tables > _HEAD_TABLES
+        q = np.eye(d)[d - 1]
+        r = maxip_query(idx, q)
+        assert not r.found and r.tables_hashed == idx.params.n_tables
+        qsig = idx._hash_one(q)
+        assert r.examined == len(idx._gather(qsig.astype(np.int64), *idx._bounds(qsig))[1])
+
+
+def _shift_loop_hash(index, pts):
+    """The former hash_points: all tables, keys packed by a K-step shift loop."""
+    L, K = index.params.n_tables, index.params.k_bits
+    x32 = np.ascontiguousarray(pts.T, dtype=np.float32)
+    b = x32.shape[1]
+    sig = np.empty((L, b), dtype=index.sig_dtype)
+    tables_per_chunk = max(1, (1 << 24) // max(K * b, 1))
+    for t0 in range(0, L, tables_per_chunk):
+        t1 = min(L, t0 + tables_per_chunk)
+        bits = (index.planes[t0 * K : t1 * K] @ x32 > 0).reshape(t1 - t0, K, b)
+        acc = np.zeros((t1 - t0, b), dtype=index.sig_dtype)
+        for k in range(K):
+            acc |= bits[:, k, :].astype(index.sig_dtype) << index.sig_dtype(k)
+        sig[t0:t1] = acc
+    return sig
+
+
+class TestHashing:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_table_ranges_and_packing(self, dtype):
+        """A table range hashes to the same rows as all tables, packed as before.
+
+        Covers K <= 32 and K > 32, one vector and a batch.
+        """
+        rng = np.random.default_rng(730)
+        idx = _many_tables_index(rng, dtype, 64)
+        L = idx.params.n_tables
+        for pts in (idx.stored[:1], _unit_rows(rng, 1, idx.dim), idx.stored):
+            full = idx.hash_points(pts)
+            assert full.shape == (L, len(pts)) and full.dtype == dtype
+            np.testing.assert_array_equal(full, _shift_loop_hash(idx, pts))
+            for t0, t1 in [(0, _HEAD_TABLES), (_HEAD_TABLES, L), (5, 17), (L - 1, L)]:
+                np.testing.assert_array_equal(idx.hash_points(pts, t0, t1), full[t0:t1])
+        np.testing.assert_array_equal(idx._hash_one(idx.stored[3]),
+                                      _shift_loop_hash(idx, idx.stored[3:4])[:, 0])
+
+    @pytest.mark.parametrize("n, dim, clusters, shape", [
+        (256, 32, 8, (1809, 10)),  # the hashed-hit benchmark workload
+        (96, 128, 0, (534, 8)),  # the hashed-miss benchmark workload
+    ])
+    def test_build_signatures_unchanged(self, n, dim, clusters, shape):
+        """cur_sig at build equals the former shift-loop hash."""
+        rng = np.random.default_rng(n)
+        if clusters:
+            centres = _unit_rows(rng, clusters, dim)
+            x = centres[rng.integers(0, clusters, size=n)]
+            x = x + 0.25 / math.sqrt(dim) * rng.standard_normal((n, dim))
+            offline = x / np.linalg.norm(x, axis=1, keepdims=True)
+        else:
+            offline = _unit_rows(rng, n, dim)
+        m = match_init("FasterInnerProductMatching", PointSet(offline, norm_bound=1.0),
+                       epsilon=0.2, tau=0.5, delta=0.1, seed=n)
+        idx = m.index
+        assert (idx.params.n_tables, idx.params.k_bits) == shape
+        np.testing.assert_array_equal(idx.cur_sig, _shift_loop_hash(idx, idx.stored))
 
 
 class TestBounds:
