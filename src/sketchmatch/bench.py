@@ -301,17 +301,21 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
     """Median per-update latency vs n, log-log slope per matcher kind.
 
     Instrumentation and opt are disabled: above the solver cap the guarantees
-    are asymptotic and only the update cost is being measured.
+    are asymptotic and only the update cost is being measured.  Each point
+    is the median of three interleaved passes over n_values, so one slow
+    phase of the host moves one pass's point rather than the fit.
     """
     if sorted(n_values) != list(n_values) or len(n_values) < 2:
         raise ParameterError("n_values must be ascending, length >= 2")
-    med: dict[str, list[float]] = {k: [] for k in kinds}
-    for n in n_values:
-        for kind in kinds:
-            sub = replace(cfg, matcher=kind, n_offline=int(n),
-                          instrument=False, trials=1)
-            lat = _stream(sub, 0)[3]
-            med[kind].append(float(np.median(lat)) / 1e3)
+    runs: dict[str, list[list[float]]] = {k: [[] for _ in n_values] for k in kinds}
+    for _ in range(3):
+        for j, n in enumerate(n_values):
+            for kind in kinds:
+                sub = replace(cfg, matcher=kind, n_offline=int(n),
+                              instrument=False, trials=1)
+                lat = _stream(sub, 0)[3]
+                runs[kind][j].append(float(np.median(lat)) / 1e3)
+    med = {k: [float(np.median(r)) for r in runs[k]] for k in kinds}
     slopes = {k: _fit_slope(n_values, med[k]) for k in kinds}
     dstar = 2.0 * cfg.norm_bound
     exponent = maxip_exponent(1.0 - cfg.epsilon, cfg.tau / dstar, "time")

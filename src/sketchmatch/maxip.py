@@ -21,16 +21,17 @@ recorded on the params for reference.
 
 Storage layout: per-table signatures live in a sorted base array, probed
 for a range of tables at once with one branchless binary search, plus an
-overlay that absorbs updates: an append-ordered (k, 3) int64 array of rows
-(table, signature, id).  The rows of the first _HEAD_TABLES tables are also
-kept in a small head buffer.  A query probes in two stages: it hashes,
-bisects and gathers the head tables first, in whole-array steps, scanning
-only the head buffer, and does the same for the other tables only when the
-head neither reaches c * tau nor the candidate cap.  A mask of the ids
-already gathered carries across the stages, so the result equals that of
-one probe over all L tables.  Stale entries are filtered against the
-authoritative per-point signature memo, and the base is re-sorted once the
-overlay grows past rebuild_factor updates' worth of entries.  Theoretical
+overlay that absorbs updates: rows (table, signature, id), kept in one
+append buffer per probe stage, tables [0, _HEAD_TABLES) and
+[_HEAD_TABLES, L), so each row is stored once.  A query probes in two
+stages: it hashes, bisects and gathers the head tables first, in
+whole-array steps, scanning only the head stage's buffer, and does the same
+for the other tables and the tail buffer only when the head neither reaches
+c * tau nor the candidate cap.  A mask of the ids already gathered carries
+across the stages, so the result equals that of one probe over all L
+tables.  Stale entries are filtered against the authoritative per-point
+signature memo, and the base is re-sorted once the overlay grows past
+_REBUILD_FACTOR updates' worth of entries (L rows each).  Theoretical
 query/space exponents for other constructions are exposed through
 maxip_exponent.
 """
@@ -51,6 +52,9 @@ _CHUNK_BUDGET = 1 << 24
 # Tables in a query's first probe stage; the rest are probed only when these
 # give no answer.
 _HEAD_TABLES = 128
+# The base is re-sorted once the overlay holds more than _REBUILD_FACTOR * L
+# rows.
+_REBUILD_FACTOR = 64
 
 
 def maxip_exponent(c: float, tau: float, regime: str = "time") -> float:
@@ -169,7 +173,6 @@ class LshIndex:
         delta: float,
         seed,
         max_tables: int = DEFAULT_MAX_TABLES,
-        rebuild_factor: int = 64,
     ) -> None:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.size == 0:
@@ -178,13 +181,11 @@ class LshIndex:
         self.params = LshParams.derive(pts.shape[0], c, tau, delta, max_tables)
         self.stored = pts.copy()
         self.dim = pts.shape[1]
-        self.rng = SeededRng(seed)
         L, K = self.params.n_tables, self.params.k_bits
-        planes = self.rng.gen.standard_normal((L * K, self.dim))
+        planes = SeededRng(seed).gen.standard_normal((L * K, self.dim))
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         self.planes = planes.astype(np.float32)
         self.sig_dtype = np.uint32 if K <= 32 else np.uint64
-        self.rebuild_factor = int(rebuild_factor)
         # Authoritative per-point signatures, one row per table.
         self.cur_sig = self.hash_points(self.stored)
         self._consolidate()
@@ -203,10 +204,18 @@ class LshIndex:
     def overlay(self) -> np.ndarray:
         """Rows (table, signature, id) appended since the last re-sort.
 
-        A (k, 3) view of a column-major buffer, so that each column a query
-        scans is contiguous.
+        A (k, 3) array built from the stage buffers when asked for: the head
+        stage's rows, then the tail stage's, each in append order.
         """
-        return self._overlay_buf[:, : self._overlay_appends].T
+        return np.concatenate([self._stage_overlay(0), self._stage_overlay(1)])
+
+    def _stage_overlay(self, s: int) -> np.ndarray:
+        """Overlay rows of probe stage s (0: head, 1: tail) as a (k, 3) view.
+
+        The buffer is column-major, so each column a query scans is
+        contiguous.
+        """
+        return self._ov_buf[s][:, : self._ov_rows[s]].T
 
     # -- hashing ------------------------------------------------------------
 
@@ -244,21 +253,17 @@ class LshIndex:
         order = np.argsort(self.cur_sig, axis=1, kind="stable")
         self.base_order = order.astype(np.int32)
         self.base_sig = np.take_along_axis(self.cur_sig, order, axis=1)
-        self._overlay_buf = np.empty((3, 0), dtype=np.int64)
-        self._overlay_appends = 0
-        # The overlay's rows with table < _HEAD_TABLES, in the same layout.
-        self._head_buf = np.empty((3, 0), dtype=np.int64)
-        self._head_appends = 0
+        # One overlay buffer per probe stage, and the rows each one holds.
+        self._ov_buf = [np.empty((3, 0), dtype=np.int64) for _ in range(2)]
+        self._ov_rows = [0, 0]
 
     def _append_overlay(self, tables: np.ndarray, sigs: np.ndarray, i: int) -> None:
         """Append rows (tables[j], sigs[j], i); tables must be ascending."""
         h = int(np.searchsorted(tables, _HEAD_TABLES))
-        self._head_buf = _append_rows(self._head_buf, self._head_appends,
-                                      tables[:h], sigs[:h], i)
-        self._head_appends += h
-        self._overlay_buf = _append_rows(self._overlay_buf, self._overlay_appends,
-                                         tables, sigs, i)
-        self._overlay_appends += len(tables)
+        for s, part in enumerate((slice(None, h), slice(h, None))):
+            self._ov_buf[s] = _append_rows(self._ov_buf[s], self._ov_rows[s],
+                                           tables[part], sigs[part], i)
+            self._ov_rows[s] += len(tables[part])
 
     def _bounds(self, qsig: np.ndarray, t0: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Range [lo, hi) of signature qsig[l] within sorted row t0 + l of base_sig.
@@ -284,57 +289,42 @@ class LshIndex:
         pos -= row0
         return pos[:L], pos[L:]
 
-    def bucket(self, table: int, sig) -> list[int]:
-        """Current members of one bucket (base plus overlay, stale-filtered)."""
-        L = self.params.n_tables
-        key = np.full(L, -1, dtype=np.int64)
-        key[table] = sig
-        lo = np.zeros(L, dtype=np.int64)
-        hi = np.zeros(L, dtype=np.int64)
-        lo[table] = np.searchsorted(self.base_sig[table], sig, side="left")
-        hi[table] = np.searchsorted(self.base_sig[table], sig, side="right")
-        return self._gather(key, lo, hi)[1].tolist()
-
-    def _gather(self, key: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                t0: int = 0, seen: np.ndarray | None = None,
+    def _gather(self, qsig: np.ndarray, t0: int, seen: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Members of bucket key[j] in table t = t0 + j, in probe order.
+        """Members of bucket qsig[j] in table t = t0 + j, in probe order.
 
-        Table t contributes base_order[t, lo[j]:hi[j]] (the bucket's range
-        in the sorted base), then its overlay rows with signature key[j] in
-        append order; key[j] = -1 matches no overlay row.  An id whose
-        current signature in its table is no longer key[j] is stale and
-        dropped, as is an id marked in the boolean mask seen; of the rest
-        only each id's first occurrence is kept.  Returns (tables, ids),
-        grouped by ascending table.
+        The tables [t0, t0 + len(qsig)) are one probe stage or the whole
+        index, so every overlay row scanned lies in range.  Table t
+        contributes the bucket's range in the sorted base, then its overlay
+        rows with signature qsig[j] in append order.  An id whose current
+        signature in its table is no longer qsig[j] is stale and dropped, as
+        is an id marked in the boolean mask seen; of the rest only each id's
+        first occurrence is kept.  Returns (tables, ids), grouped by
+        ascending table.
         """
-        L, n = self.base_order.shape
-        t1 = t0 + len(key)
-        if len(key) < L:  # index key by table; other tables match nothing
-            key = np.concatenate([np.full(t0, -1, dtype=np.int64), key,
-                                  np.full(L - t1, -1, dtype=np.int64)])
+        n = self.n
+        t1 = t0 + len(qsig)
+        lo, hi = self._bounds(qsig, t0)
+        key = qsig.astype(np.int64)
         counts = hi - lo
         tables = np.arange(t0, t1, dtype=np.int64)
         tab = np.repeat(tables, counts)
         # Flat base_order offset of each member: row start + lo + rank in range.
         start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
         ids = self.base_order.ravel()[start + np.arange(len(tab))].astype(np.int64)
-        # Overlay rows of the tables in range: all in the head buffer for a
-        # range inside the head.
-        if t1 <= _HEAD_TABLES:
-            ov = self._head_buf[:, : self._head_appends].T
-        else:
+        if t1 <= _HEAD_TABLES or t0 >= _HEAD_TABLES:  # one probe stage
+            ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
+        else:  # the whole index
             ov = self.overlay
-        ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0]])]
+        ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0] - t0])]
         if len(ov):
             # tab is sorted, so a stable sort by table puts each table's
             # overlay members after its base range, in append order.
             tab = np.concatenate([tab, ov[:, 0]])
             order = np.argsort(tab, kind="stable")
             tab, ids = tab[order], np.concatenate([ids, ov[:, 2]])[order]
-        fresh = self.cur_sig[tab, ids].astype(np.int64) == key[tab]
-        if seen is not None:
-            fresh &= ~seen[ids]
+        fresh = self.cur_sig[tab, ids].astype(np.int64) == key[tab - t0]
+        fresh &= ~seen[ids]
         tab, ids = tab[fresh], ids[fresh]
         rank = np.arange(len(ids))
         first = np.full(n, len(ids), dtype=np.int64)
@@ -358,11 +348,9 @@ def maxip_init(
     delta: float,
     seed,
     max_tables: int = DEFAULT_MAX_TABLES,
-    rebuild_factor: int = 64,
 ) -> LshIndex:
     """Index unit vectors for (c, tau)-Max-IP queries."""
-    return LshIndex(points, c, tau, delta, seed,
-                    max_tables=max_tables, rebuild_factor=rebuild_factor)
+    return LshIndex(points, c, tau, delta, seed, max_tables=max_tables)
 
 
 def maxip_update(index: LshIndex, i: int, new_point) -> None:
@@ -376,7 +364,7 @@ def maxip_update(index: LshIndex, i: int, new_point) -> None:
     changed = np.flatnonzero(new_sig != index.cur_sig[:, i])
     index.cur_sig[:, i] = new_sig
     index._append_overlay(changed, new_sig[changed], i)
-    if index._overlay_appends > index.rebuild_factor * index.params.n_tables:
+    if sum(index._ov_rows) > _REBUILD_FACTOR * index.params.n_tables:
         index._consolidate()
 
 
@@ -408,8 +396,7 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
             break
         hashed = t1
         qsig = index.hash_points(q[np.newaxis, :], t0, t1)[:, 0]
-        tab, ids = index._gather(qsig.astype(np.int64), *index._bounds(qsig, t0),
-                                 t0, seen)
+        tab, ids = index._gather(qsig, t0, seen)
         seen[ids] = True
         block = index.stored[ids]
         # One GEMV per table: BLAS may round a row differently in a larger batch.

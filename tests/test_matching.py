@@ -470,13 +470,14 @@ def _clustered(rng, count, centres, spread=0.15):
 class TestHashedMatcherOnSharedSkeleton:
     @pytest.mark.parametrize("instrument", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference_update_bitwise(self, seed, instrument):
+    def test_matches_reference_update_bitwise(self, seed, instrument, monkeypatch):
         """The shared update reproduces the former hashed update exactly.
 
         Clustered arrivals first find large increments, then mostly fall
-        back once their cluster's weights are filled; rebuild_factor=1 makes
-        the index consolidate every few rehashes.
+        back once their cluster's weights are filled; _REBUILD_FACTOR=1
+        makes the index consolidate every few rehashes.
         """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(100 + seed)
         centres = _unit_ball(rng, 3, 8)
         centres /= np.linalg.norm(centres, axis=1, keepdims=True)
@@ -486,7 +487,6 @@ class TestHashedMatcherOnSharedSkeleton:
                   instrument=instrument)
         new = FasterInnerProductMatching(offline, **kw)
         ref = _ReferenceFaster(offline, **kw)
-        new.index.rebuild_factor = ref.index.rebuild_factor = 1
         found = fallback = consolidations = 0
         for y in arrivals:
             q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
@@ -494,9 +494,9 @@ class TestHashedMatcherOnSharedSkeleton:
                 found += 1
             else:
                 fallback += 1
-            appends = ref.index._overlay_appends
+            appends = len(ref.index.overlay)
             assert match_update(new, y) == match_update(ref, y)
-            consolidations += ref.index._overlay_appends < appends
+            consolidations += len(ref.index.overlay) < appends
         assert found and fallback and consolidations
         a, b = new.state, ref.state
         assert a.accumulated.tobytes() == b.accumulated.tobytes()

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sketchmatch import maxip
 from sketchmatch.core import NormBoundError, ParameterError, PointSet, SeededRng, as_vector
 from sketchmatch.matching import match_init
 from sketchmatch.maxip import (
@@ -249,33 +250,26 @@ class TestSignatureBookkeeping:
             members = sorted(i for ids in buckets.values() for i in ids)
             assert members == list(range(idx.n))
 
-    def test_bucket_query_agrees_with_logical_view(self):
-        idx, rng = self._index()
-        for _ in range(15):
-            maxip_update(idx, int(rng.integers(0, idx.n)), _unit_rows(rng, 1, idx.dim)[0])
-        for t in range(min(4, idx.params.n_tables)):
-            logical = idx.logical_buckets(t)
-            for sig, ids in logical.items():
-                assert sorted(idx.bucket(t, sig)) == ids
-
     def test_update_to_identical_point_is_a_no_op(self):
         idx, _ = self._index()
-        appends_before = idx._overlay_appends
+        appends_before = len(idx.overlay)
         sig_before = idx.cur_sig.copy()
         maxip_update(idx, 7, idx.stored[7].copy())
-        assert idx._overlay_appends == appends_before
+        assert len(idx.overlay) == appends_before
         np.testing.assert_array_equal(idx.cur_sig, sig_before)
 
-    def test_overlay_rows_and_emptiness(self):
+    def test_overlay_rows_and_emptiness(self, monkeypatch):
         """The overlay holds (table, sig, id) per changed table until a re-sort."""
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(8)
         idx = maxip_init(_unit_rows(rng, 40, 10), c=0.7, tau=0.5, delta=0.2,
-                         seed=4, rebuild_factor=1)
+                         seed=4)
         assert len(idx.overlay) == 0 and idx.overlay.shape == (0, 3)
         emptied = grown = 0
         for _ in range(60):
             i = int(rng.integers(0, 40))
             before, rows = idx.cur_sig[:, i].copy(), len(idx.overlay)
+            stage_rows = [len(idx._stage_overlay(s)) for s in (0, 1)]
             maxip_update(idx, i, _unit_rows(rng, 1, 10)[0])
             changed = np.flatnonzero(idx.cur_sig[:, i] != before)
             if rows + len(changed) > idx.params.n_tables:
@@ -283,18 +277,21 @@ class TestSignatureBookkeeping:
                 emptied += 1
             elif len(changed):
                 assert len(idx.overlay) == rows + len(changed) > 0
-                np.testing.assert_array_equal(
-                    idx.overlay[rows:],
-                    np.column_stack([changed, idx.cur_sig[changed, i],
-                                     np.full(len(changed), i)]))
+                new = np.column_stack([changed, idx.cur_sig[changed, i],
+                                       np.full(len(changed), i)])
+                # Each new row is appended to the buffer of its table's stage.
+                for s, in_stage in enumerate((changed < _HEAD_TABLES,
+                                              changed >= _HEAD_TABLES)):
+                    np.testing.assert_array_equal(
+                        idx._stage_overlay(s)[stage_rows[s]:], new[in_stage])
                 grown += 1
         assert emptied and grown
 
-    def test_consolidation_clears_overlay_and_preserves_view(self):
+    def test_consolidation_clears_overlay_and_preserves_view(self, monkeypatch):
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(9)
         idx = maxip_init(
             _unit_rows(rng, 40, 10), c=0.7, tau=0.5, delta=0.2, seed=2,
-            rebuild_factor=1,
         )
         logical_before = None
         for step in range(200):
@@ -303,8 +300,8 @@ class TestSignatureBookkeeping:
                 logical_before = [
                     idx.logical_buckets(t) for t in range(idx.params.n_tables)
                 ]
-        # rebuild_factor=1 forces consolidations during the loop above
-        assert idx._overlay_appends <= idx.rebuild_factor * idx.params.n_tables
+        # _REBUILD_FACTOR=1 forces consolidations during the loop above
+        assert len(idx.overlay) <= maxip._REBUILD_FACTOR * idx.params.n_tables
         np.testing.assert_array_equal(idx.cur_sig, idx.hash_points(idx.stored))
 
     def test_update_sequence_matches_fresh_build(self):
@@ -400,21 +397,21 @@ def _assert_same_result(got, want):
         math.isnan(got.value) and math.isnan(want.value))
 
 
-def _compare_over_update_sequence(idx, rng, rebuild_factor):
+def _compare_over_update_sequence(idx, rng, factor):
     """Interleave updates with queries; each query must match the reference."""
     n, d = idx.n, idx.dim
     found = missed = overlay_queries = consolidations = 0
     for _ in range(80):
-        appends = idx._overlay_appends
+        appends = len(idx.overlay)
         i = int(rng.integers(0, n))
         z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
         maxip_update(idx, i, z / np.linalg.norm(z))
-        consolidations += idx._overlay_appends < appends
+        consolidations += len(idx.overlay) < appends
         near = idx.stored[int(rng.integers(0, n))] + 0.4 * _unit_rows(rng, 1, d)[0]
         for q in (near / np.linalg.norm(near), _unit_rows(rng, 1, d)[0]):
             overlay_queries += len(idx.overlay) > 0
             qsig = idx._hash_one(q)
-            tab, ids = idx._gather(qsig.astype(np.int64), *idx._bounds(qsig))
+            tab, ids = idx._gather(qsig, 0, np.zeros(n, dtype=bool))
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
             for cap in (None, 3):
@@ -423,38 +420,40 @@ def _compare_over_update_sequence(idx, rng, rebuild_factor):
                 found += got.found
                 missed += not got.found
     assert found and missed and overlay_queries
-    assert consolidations if rebuild_factor == 1 else not consolidations
+    assert consolidations if factor == 1 else not consolidations
 
 
 class TestQueryMatchesReference:
-    @pytest.mark.parametrize("rebuild_factor", [64, 1])
+    @pytest.mark.parametrize("factor", [64, 1])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_same_result_over_update_sequence(self, seed, rebuild_factor):
+    def test_same_result_over_update_sequence(self, seed, factor, monkeypatch):
         """The vectorized probe returns the former loop's MaxIpResult.
 
         Queries near a stored point exit early on a Found; random queries
         mostly miss after scanning every table; a small cap stops the scan
-        by count.  With rebuild_factor=1 the overlay is folded into the base
+        by count.  With _REBUILD_FACTOR=1 the overlay is folded into the base
         every few updates.
         """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(700 + seed)
         n, d = 60, 12
         idx = maxip_init(_unit_rows(rng, n, d), c=0.9, tau=0.8, delta=0.2,
-                         seed=seed, rebuild_factor=rebuild_factor)
-        _compare_over_update_sequence(idx, rng, rebuild_factor)
+                         seed=seed)
+        _compare_over_update_sequence(idx, rng, factor)
 
-    @pytest.mark.parametrize("rebuild_factor", [128, 1])
-    def test_same_result_with_uint64_signatures(self, rebuild_factor):
+    @pytest.mark.parametrize("factor", [128, 1])
+    def test_same_result_with_uint64_signatures(self, factor, monkeypatch):
         """As above for an index with K > 32 bits per signature.
 
         The 80 updates here append more than 64 updates' worth of overlay
         rows, so the unconsolidated case uses 128.
         """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(710)
         idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95,
-                         delta=0.2, seed=3, rebuild_factor=rebuild_factor)
+                         delta=0.2, seed=3)
         assert idx.params.k_bits > 32 and idx.sig_dtype == np.uint64
-        _compare_over_update_sequence(idx, rng, rebuild_factor)
+        _compare_over_update_sequence(idx, rng, factor)
 
 
 def _compare_two_stage(idx, rng):
@@ -470,15 +469,15 @@ def _compare_two_stage(idx, rng):
     threshold = idx.params.c * idx.params.tau
     ends = Counter()
     for _ in range(30):
-        appends = idx._overlay_appends
+        appends = len(idx.overlay)
         i = int(rng.integers(0, n))
         z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
         maxip_update(idx, i, z / np.linalg.norm(z))
-        ends["consolidations"] += idx._overlay_appends < appends
-        # The head buffer holds exactly the overlay's rows of head tables.
-        np.testing.assert_array_equal(idx._head_buf[:, : idx._head_appends].T,
+        ends["consolidations"] += len(idx.overlay) < appends
+        # The head stage's buffer holds exactly the overlay's rows of head tables.
+        np.testing.assert_array_equal(idx._stage_overlay(0),
                                       idx.overlay[idx.overlay[:, 0] < _HEAD_TABLES])
-        ends["head rows"] += idx._head_appends > 0
+        ends["head rows"] += len(idx._stage_overlay(0)) > 0
         ends["tail rows"] += bool(np.any(idx.overlay[:, 0] >= _HEAD_TABLES))
         p = idx.stored[int(rng.integers(0, n))]
         for q in (_planted(rng, p, threshold + 0.02), _unit_rows(rng, 1, d)[0]):
@@ -496,42 +495,95 @@ def _compare_two_stage(idx, rng):
     return ends
 
 
-def _many_tables_index(rng, dtype, rebuild_factor):
+def _many_tables_index(rng, dtype):
     """An index of L >= 3 H tables with K <= 32 (uint32) or K > 32 (uint64)."""
     if dtype == np.uint32:
         idx = maxip_init(_unit_rows(rng, 60, 12), c=0.9, tau=0.7, delta=1e-4,
-                         seed=5, rebuild_factor=rebuild_factor)
+                         seed=5)
     else:
         idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95,
-                         delta=1e-6, seed=6, rebuild_factor=rebuild_factor)
+                         delta=1e-6, seed=6)
     assert idx.params.n_tables >= 3 * _HEAD_TABLES and idx.sig_dtype == dtype
     return idx
 
 
 class TestTwoStageProbe:
-    @pytest.mark.parametrize("rebuild_factor", [64, 1])
+    @pytest.mark.parametrize("factor", [64, 1])
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
-    def test_same_result_as_one_stage_probe(self, dtype, rebuild_factor):
+    def test_same_result_as_one_stage_probe(self, dtype, factor, monkeypatch):
         """Head-then-tail probing returns the full probe's MaxIpResult.
 
         Queries end Found in the head, Found in the tail, missed, and
         stopped by a cap in the tail; the overlay holds rows of head and of
-        tail tables, and with rebuild_factor=1 it is folded into the base
+        tail tables, and with _REBUILD_FACTOR=1 it is folded into the base
         every few updates.
         """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(720)
-        idx = _many_tables_index(rng, dtype, rebuild_factor)
+        idx = _many_tables_index(rng, dtype)
         ends = _compare_two_stage(idx, rng)
         for end in [("found", "head"), ("found", "tail"), ("missed", "tail"),
                     "cap in tail", "head rows", "tail rows"]:
             assert ends[end], (end, ends)
         assert ends["missed", "head"] == 0
-        assert ends["consolidations"] if rebuild_factor == 1 else not ends["consolidations"]
+        assert ends["consolidations"] if factor == 1 else not ends["consolidations"]
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_stage_buffers(self, dtype, monkeypatch):
+        """Each overlay row is stored once, in the buffer of its table's stage.
+
+        Far and near moves append rows to both stages; with _REBUILD_FACTOR=1
+        the overlay is folded into the base every few updates, and it must
+        read empty right after each fold and nonempty after any other update
+        that changed a table (the benchmark books consolidation time by it).
+        """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
+        rng = np.random.default_rng(722)
+        idx = _many_tables_index(rng, dtype)
+        n, d, L = idx.n, idx.dim, idx.params.n_tables
+        appended = np.empty((0, 3), dtype=np.int64)  # rows since the last fold
+        counts = Counter()
+        for step in range(40):
+            i = int(rng.integers(0, n))
+            z = _unit_rows(rng, 1, d)[0]
+            if step % 2:
+                z = idx.stored[i] + 0.3 * z
+            before = idx.cur_sig[:, i].copy()
+            maxip_update(idx, i, z / np.linalg.norm(z))
+            changed = np.flatnonzero(idx.cur_sig[:, i] != before)
+            if len(appended) + len(changed) > L:
+                assert len(idx.overlay) == 0
+                appended = appended[:0]
+                counts["folds"] += 1
+            elif len(changed):
+                assert len(idx.overlay) > 0
+                appended = np.concatenate([appended, np.column_stack(
+                    [changed, idx.cur_sig[changed, i], np.full(len(changed), i)])])
+            head, tail = idx._stage_overlay(0), idx._stage_overlay(1)
+            assert np.all(head[:, 0] < _HEAD_TABLES) and np.all(tail[:, 0] >= _HEAD_TABLES)
+            # Together the buffers hold every appended row once, each in
+            # append order, and overlay lists the head's rows, then the tail's.
+            np.testing.assert_array_equal(head, appended[appended[:, 0] < _HEAD_TABLES])
+            np.testing.assert_array_equal(tail, appended[appended[:, 0] >= _HEAD_TABLES])
+            np.testing.assert_array_equal(idx.overlay, np.concatenate([head, tail]))
+            for t in np.unique(appended[:, 0]):
+                np.testing.assert_array_equal(idx.overlay[idx.overlay[:, 0] == t],
+                                              appended[appended[:, 0] == t])
+            # A gather over the whole index reads both buffers; with one head
+            # key bit flipped, i is first gathered from a tail table.
+            qsig = idx.cur_sig[:, i].copy()
+            qsig[:_HEAD_TABLES] ^= dtype(1)
+            tab, ids = idx._gather(qsig, 0, np.zeros(n, dtype=bool))
+            assert list(zip(tab.tolist(), ids.tolist())) == [
+                (t, j) for t, cand in _reference_candidates(idx, qsig) for j in cand]
+            counts["head rows"] += len(head) > 0
+            counts["tail rows"] += len(tail) > 0
+        assert counts["folds"] and counts["head rows"] and counts["tail rows"], counts
 
     def test_counters(self):
         """A query near a stored point hashes the head only; a miss, every table."""
         rng = np.random.default_rng(721)
-        idx = _many_tables_index(rng, np.uint32, 64)
+        idx = _many_tables_index(rng, np.uint32)
         L = idx.params.n_tables
         near = idx.stored[7] + 0.05 * _unit_rows(rng, 1, idx.dim)[0]
         r = maxip_query(idx, near / np.linalg.norm(near))
@@ -544,7 +596,7 @@ class TestTwoStageProbe:
         r = maxip_query(idx, q)
         assert not r.found and r.tables_hashed == idx.params.n_tables
         qsig = idx._hash_one(q)
-        assert r.examined == len(idx._gather(qsig.astype(np.int64), *idx._bounds(qsig))[1])
+        assert r.examined == len(idx._gather(qsig, 0, np.zeros(idx.n, dtype=bool))[1])
 
 
 def _shift_loop_hash(index, pts):
@@ -572,7 +624,7 @@ class TestHashing:
         Covers K <= 32 and K > 32, one vector and a batch.
         """
         rng = np.random.default_rng(730)
-        idx = _many_tables_index(rng, dtype, 64)
+        idx = _many_tables_index(rng, dtype)
         L = idx.params.n_tables
         for pts in (idx.stored[:1], _unit_rows(rng, 1, idx.dim), idx.stored):
             full = idx.hash_points(pts)
