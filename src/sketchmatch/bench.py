@@ -184,21 +184,28 @@ def _bound(matcher: str, oracle: IncrementOracle | None, opt: float,
 
 def _stream(cfg: ExperimentConfig, trial: int,
             oracle: IncrementOracle | None = None):
-    """Build the trial's instance and matcher, then time each arrival."""
+    """Build the trial's instance and matcher, then time each arrival.
+
+    With cfg.instrument the per-step check runs after each timed update, so
+    the latencies cover the update alone.
+    """
     offline, online = generate_dataset(cfg, trial)
     root = child_seed(cfg.seed, trial)
     matcher = match_init(
         cfg.matcher, offline, epsilon=cfg.epsilon, tau=cfg.tau,
         delta=cfg.delta, seed=child_seed(root, 2), oracle=oracle,
-        instrument=cfg.instrument,
         **({"max_tables": cfg.max_tables}
            if cfg.matcher == "FasterInnerProductMatching" else {}),
     )
     lat_ns = []
-    for y in online:
+    for step, y in enumerate(online):
+        if cfg.instrument:
+            before = matcher.state.accumulated.copy()
         t0 = time.perf_counter_ns()
-        match_update(matcher, y)
+        i0 = match_update(matcher, y)
         lat_ns.append(time.perf_counter_ns() - t0)
+        if cfg.instrument:
+            matcher._assert_step(y, i0, before, step)
     return offline, online, matcher, lat_ns
 
 

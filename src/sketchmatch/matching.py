@@ -167,19 +167,20 @@ class _MatcherBase:
             st.tracked_value += gain
             self._accept(i0)
         if self.instrument:
-            self._assert_step(y, i0, before)
+            self._assert_step(y, i0, before, st.online_count)
         st.online_count += 1
         return i0
 
     def query(self) -> float:
         return self.state.tracked_value
 
-    def _assert_step(self, y: np.ndarray, i0: int, before: np.ndarray) -> None:
+    def _assert_step(self, y: np.ndarray, i0: int, before: np.ndarray,
+                     step: int) -> None:
         # Per-step greedy robustness condition on true clamped increments:
         # the credited index must gain at least (1 - eps) of the best
-        # available increment, or come within tau of it.  A miss marks the
-        # step (whp contract of the backing estimator violated); the run
-        # continues regardless.
+        # available increment, or come within tau of it.  A miss marks
+        # arrival `step` (whp contract of the backing estimator violated);
+        # the run continues regardless.
         inc = np.maximum(0.0, self._exact_weights(y) - before)
         best = float(inc.max())
         got = float(inc[i0])
@@ -187,7 +188,7 @@ class _MatcherBase:
             return
         if got >= best - self.tau - _FLAG_TOL:
             return
-        self.state.flags.append(self.state.online_count)
+        self.state.flags.append(step)
 
 
 class GreedyExact(_MatcherBase):

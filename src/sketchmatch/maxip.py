@@ -19,18 +19,23 @@ n^rho * ln(1/delta) when K needs no rounding and otherwise keeps the miss
 probability at delta despite the integer K.  rho = ln(1/p1) / ln(1/p2) is
 recorded on the params for reference.
 
-Storage layout: per-table signatures live in a sorted base array, probed
-for a range of tables at once with one branchless binary search, plus an
-overlay that absorbs updates: rows (table, signature, id), kept in one
-append buffer per probe stage, tables [0, _HEAD_TABLES) and
+Storage layout: each table's base is one sorted array of packed keys
+(sig >> s) << b | id, where b is the bit length of n - 1 and s = max(0,
+K + b - 63) low signature bits are dropped from the base only; the key is
+uint32 when K + b <= 32 and uint64 otherwise.  Ids are unique, so sorting
+the keys orders each table by signature prefix and then by id, as a stable
+sort by signature would.  One branchless binary search probes a range of
+tables at once.  Updates go to an overlay of rows (table, signature, id),
+kept in one append buffer per probe stage, tables [0, _HEAD_TABLES) and
 [_HEAD_TABLES, L), so each row is stored once.  A query probes in two
 stages: it hashes, bisects and gathers the head tables first, in
 whole-array steps, scanning only the head stage's buffer, and does the same
 for the other tables and the tail buffer only when the head neither reaches
 c * tau nor the candidate cap.  A mask of the ids already gathered carries
 across the stages, so the result equals that of one probe over all L
-tables.  Stale entries are filtered against the authoritative per-point
-signature memo, and the base is re-sorted once the overlay grows past
+tables.  Stale entries, and with s > 0 base members whose full signature
+differs from the query's, are filtered against the authoritative per-point
+signature memo.  The base is rebuilt in place once the overlay grows past
 _REBUILD_FACTOR updates' worth of entries (L rows each).  Theoretical
 query/space exponents for other constructions are exposed through
 maxip_exponent.
@@ -186,6 +191,10 @@ class LshIndex:
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         self.planes = planes.astype(np.float32)
         self.sig_dtype = np.uint32 if K <= 32 else np.uint64
+        # Base key layout: b id bits below the top K - s signature bits.
+        b = (self.n - 1).bit_length()
+        self._id_bits, self._sig_drop = b, max(0, K + b - 63)
+        self._key_dtype = np.uint32 if K + b <= 32 else np.uint64
         # Authoritative per-point signatures, one row per table.
         self.cur_sig = self.hash_points(self.stored)
         self._consolidate()
@@ -250,9 +259,16 @@ class LshIndex:
 
     def _consolidate(self) -> None:
         # Re-sort every table by current signature; overlay folds into base.
-        order = np.argsort(self.cur_sig, axis=1, kind="stable")
-        self.base_order = order.astype(np.int32)
-        self.base_sig = np.take_along_axis(self.cur_sig, order, axis=1)
+        # The old keys go first and the new ones are built in place, so at
+        # most one key array is alive next to cur_sig.
+        self.base_key = None
+        key = self.cur_sig.astype(self._key_dtype)
+        if self._sig_drop:  # a no-op shift would still pass over L * n keys
+            key >>= self._sig_drop
+        key <<= self._id_bits
+        key |= np.arange(self.n, dtype=self._key_dtype)
+        key.sort(axis=1)
+        self.base_key = key
         # One overlay buffer per probe stage, and the rows each one holds.
         self._ov_buf = [np.empty((3, 0), dtype=np.int64) for _ in range(2)]
         self._ov_rows = [0, 0]
@@ -266,16 +282,19 @@ class LshIndex:
             self._ov_rows[s] += len(tables[part])
 
     def _bounds(self, qsig: np.ndarray, t0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Range [lo, hi) of signature qsig[l] within sorted row t0 + l of base_sig.
+        """Range [lo, hi) of the keys of prefix qsig[l] >> s in row t0 + l of base_key.
 
-        Equal to per-row np.searchsorted on both sides.  One branchless
-        lower-bound search runs over 2 len(qsig) integer keys: qsig for the
-        left side and qsig + 1 for the right one.
+        Equal to per-row np.searchsorted of the decoded prefixes (key >> b)
+        on both sides.  One branchless lower-bound search runs over
+        2 len(qsig) uint64 keys, which cannot overflow: (qsig >> s) << b for
+        the left side and ((qsig >> s) + 1) << b for the right one.
         """
-        L, n = len(qsig), self.base_sig.shape[1]
-        flat = self.base_sig[t0 : t0 + L].ravel()
+        L, n = len(qsig), self.n
+        flat = self.base_key[t0 : t0 + L].ravel()
         keys = np.concatenate([qsig, qsig]).astype(np.uint64)
+        keys >>= self._sig_drop
         keys[L:] += np.uint64(1)
+        keys <<= self._id_bits
         # pos is the flat offset of the search window's start in each row.
         row0 = np.arange(L, dtype=np.int64) * n
         row0 = np.concatenate([row0, row0])  # np.tile costs more per call
@@ -295,12 +314,13 @@ class LshIndex:
 
         The tables [t0, t0 + len(qsig)) are one probe stage or the whole
         index, so every overlay row scanned lies in range.  Table t
-        contributes the bucket's range in the sorted base, then its overlay
-        rows with signature qsig[j] in append order.  An id whose current
-        signature in its table is no longer qsig[j] is stale and dropped, as
-        is an id marked in the boolean mask seen; of the rest only each id's
-        first occurrence is kept.  Returns (tables, ids), grouped by
-        ascending table.
+        contributes the ids (key & mask) of its base range for the prefix
+        qsig[j] >> s, in ascending id order, then its overlay rows with
+        signature qsig[j] in append order.  An id whose current signature in
+        its table is not qsig[j] (stale, or with s > 0 a base member that
+        only shares the prefix) is dropped, as is an id marked in the
+        boolean mask seen; of the rest only each id's first occurrence is
+        kept.  Returns (tables, ids), grouped by ascending table.
         """
         n = self.n
         t1 = t0 + len(qsig)
@@ -309,9 +329,10 @@ class LshIndex:
         counts = hi - lo
         tables = np.arange(t0, t1, dtype=np.int64)
         tab = np.repeat(tables, counts)
-        # Flat base_order offset of each member: row start + lo + rank in range.
+        # Flat base_key offset of each member: row start + lo + rank in range.
         start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
-        ids = self.base_order.ravel()[start + np.arange(len(tab))].astype(np.int64)
+        ids = self.base_key.ravel()[start + np.arange(len(tab))]
+        ids = (ids & ((1 << self._id_bits) - 1)).astype(np.int64)
         if t1 <= _HEAD_TABLES or t0 >= _HEAD_TABLES:  # one probe stage
             ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
         else:  # the whole index

@@ -10,6 +10,7 @@ violations.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sketchmatch.bench import (
     ExperimentConfig,
     _bound,
     _build_parser,
+    _stream,
     _weight_matrix,
     exit_code,
     format_sweep,
@@ -31,8 +33,14 @@ from sketchmatch.bench import (
     run_trial,
     scaling_sweep,
 )
-from sketchmatch.core import ParameterError
-from sketchmatch.matching import IncrementOracle, inject_noise_oracle
+from sketchmatch.core import ParameterError, child_seed
+from sketchmatch.matching import (
+    IncrementOracle,
+    _MatcherBase,
+    inject_noise_oracle,
+    match_init,
+    match_update,
+)
 
 FAST = dict(n_offline=25, m_online=20, dim=6, trials=1, measure_latency=False)
 
@@ -155,6 +163,39 @@ class TestRunTrial:
         r = run_trial(cfg)
         assert r.p50_us > 0.0
         assert r.p99_us >= r.p50_us
+
+    def test_latency_excludes_the_step_check(self, monkeypatch):
+        """The per-step check runs once per arrival, outside the timed update."""
+        steps = []
+        check = _MatcherBase._assert_step
+
+        def slow_check(self, y, i0, before, step):
+            time.sleep(0.005)
+            steps.append(step)
+            check(self, y, i0, before, step)
+
+        monkeypatch.setattr(_MatcherBase, "_assert_step", slow_check)
+        cfg = ExperimentConfig(n_offline=30, m_online=20, dim=6,
+                               measure_latency=True)
+        assert cfg.instrument
+        r = run_trial(cfg)
+        assert steps == list(range(20))
+        assert 0.0 < r.p50_us < 2500.0
+
+    def test_stream_flags_the_steps_the_matcher_would(self):
+        """Checking after the timed update flags the matcher's own steps."""
+        cfg = ExperimentConfig(n_offline=30, m_online=40, dim=6, epsilon=0.1,
+                               measure_latency=False)
+        offline, online, m, _ = _stream(
+            cfg, 0, inject_noise_oracle("multiplicative", 0.5, 5))
+        own = match_init(cfg.matcher, offline, epsilon=cfg.epsilon, tau=cfg.tau,
+                         delta=cfg.delta, seed=child_seed(child_seed(cfg.seed, 0), 2),
+                         oracle=inject_noise_oracle("multiplicative", 0.5, 5),
+                         instrument=True)
+        for y in online:
+            match_update(own, y)
+        assert own.state.flags and m.state.flags == own.state.flags
+        assert m.state.accumulated.tobytes() == own.state.accumulated.tobytes()
 
     def test_noisy_trial_keeps_its_bound(self):
         cfg = ExperimentConfig(n_offline=12, m_online=10, dim=5,

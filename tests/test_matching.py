@@ -455,7 +455,7 @@ class _ReferenceFaster(FasterInnerProductMatching):
                 transform_data(self._augment(self.offline.points[i0],
                                              st.accumulated[i0])))
         if self.instrument:
-            self._assert_step(y, i0, before)
+            self._assert_step(y, i0, before, st.online_count)
         st.online_count += 1
         return i0
 

@@ -336,12 +336,18 @@ class TestSignatureBookkeeping:
             maxip_update(idx, 0, np.zeros(idx.dim))
 
 
+def _decode(index, keys):
+    """(signature prefix, id) of packed base keys: key >> b and key & mask."""
+    b = index._id_bits
+    return keys >> b, keys & ((1 << b) - 1)
+
+
 def _reference_candidates(index, qsig):
     """(table, new candidate ids) per table, from a per-table Python loop.
 
-    Bucket bounds come from per-row np.searchsorted and overlay members from
-    a scan of index.overlay's rows in append order; tables without a new
-    candidate are left out.
+    Bucket bounds come from per-row np.searchsorted of the decoded base
+    prefixes and overlay members from a scan of index.overlay's rows in
+    append order; tables without a new candidate are left out.
     """
     overlay: dict[int, list[int]] = {}
     for t, s, i in index.overlay.tolist():
@@ -349,11 +355,13 @@ def _reference_candidates(index, qsig):
             overlay.setdefault(t, []).append(i)
     seen: set[int] = set()
     out = []
-    for t, (row, sig_t) in enumerate(zip(index.base_sig, qsig)):
-        lo = int(np.searchsorted(row, sig_t, side="left"))
-        hi = int(np.searchsorted(row, sig_t, side="right"))
+    for t, (keys, sig_t) in enumerate(zip(index.base_key, qsig)):
+        prefix, base_ids = _decode(index, keys)
+        p = int(sig_t) >> index._sig_drop
+        lo = int(np.searchsorted(prefix, p, side="left"))
+        hi = int(np.searchsorted(prefix, p, side="right"))
         cand = []
-        for i in index.base_order[t, lo:hi].tolist() + overlay.get(t, []):
+        for i in base_ids[lo:hi].tolist() + overlay.get(t, []):
             if index.cur_sig[t, i] == sig_t and i not in seen:
                 seen.add(i)
                 cand.append(i)
@@ -397,18 +405,22 @@ def _assert_same_result(got, want):
         math.isnan(got.value) and math.isnan(want.value))
 
 
-def _compare_over_update_sequence(idx, rng, factor):
-    """Interleave updates with queries; each query must match the reference."""
+def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
+    """Interleave updates with queries; each query must match the reference.
+
+    Each update moves a point by about move, and each near query lies
+    about near from a stored point.
+    """
     n, d = idx.n, idx.dim
     found = missed = overlay_queries = consolidations = 0
     for _ in range(80):
         appends = len(idx.overlay)
         i = int(rng.integers(0, n))
-        z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
+        z = idx.stored[i] + move * _unit_rows(rng, 1, d)[0]
         maxip_update(idx, i, z / np.linalg.norm(z))
         consolidations += len(idx.overlay) < appends
-        near = idx.stored[int(rng.integers(0, n))] + 0.4 * _unit_rows(rng, 1, d)[0]
-        for q in (near / np.linalg.norm(near), _unit_rows(rng, 1, d)[0]):
+        q = idx.stored[int(rng.integers(0, n))] + near * _unit_rows(rng, 1, d)[0]
+        for q in (q / np.linalg.norm(q), _unit_rows(rng, 1, d)[0]):
             overlay_queries += len(idx.overlay) > 0
             qsig = idx._hash_one(q)
             tab, ids = idx._gather(qsig, 0, np.zeros(n, dtype=bool))
@@ -654,6 +666,11 @@ class TestHashing:
         idx = m.index
         assert (idx.params.n_tables, idx.params.k_bits) == shape
         np.testing.assert_array_equal(idx.cur_sig, _shift_loop_hash(idx, idx.stored))
+        # The base is one uint32 key per (table, point), which sets the
+        # benchmark's index_bytes.
+        assert idx.base_key.dtype == np.uint32
+        assert idx.base_key.nbytes == shape[0] * n * 4
+        assert not hasattr(idx, "base_sig") and not hasattr(idx, "base_order")
 
 
 class TestBounds:
@@ -662,24 +679,122 @@ class TestBounds:
     def test_bounds_equal_per_row_searchsorted(self, n, dtype):
         """Both sides agree with np.searchsorted below, above and at duplicates.
 
-        Rows are drawn from a few values, the top one the largest signature
-        the dtype can hold, so most keys hit runs of equal signatures.
+        Row prefixes are drawn from a few values, the top one the largest
+        prefix a key of the dtype can hold next to the b id bits, so most
+        keys hit runs of equal prefixes; each row packs a permutation of the
+        ids below them and is sorted by key.
         """
         rng = np.random.default_rng(n)
         idx = maxip_init(_unit_rows(rng, n, 6), c=0.5, tau=0.5, delta=0.2, seed=n)
-        L = idx.params.n_tables
-        top = (1 << 32) - 1 if dtype == np.uint32 else (1 << 62) - 1
+        L, b = idx.params.n_tables, idx._id_bits
+        top = (1 << (32 - b)) - 1 if dtype == np.uint32 else (1 << (63 - b)) - 1
         values = np.array([3, 4, 9, top - 1, top], dtype=dtype)
-        idx.base_sig = np.sort(values[rng.integers(0, 5, size=(L, n))], axis=1)
+        ids = np.argsort(rng.random((L, n)), axis=1).astype(dtype)
+        prefixes = values[rng.integers(0, 5, size=(L, n))]
+        idx.base_key = np.sort(prefixes << dtype(b) | ids, axis=1)
         keys = np.array([0, 2, 3, 4, 5, 9, 10, top - 2, top - 1, top], dtype=dtype)
         for qsig in [np.full(L, k, dtype=dtype) for k in keys] + [
             keys[rng.integers(0, len(keys), size=L)] for _ in range(20)
         ]:
             lo, hi = idx._bounds(qsig)
             for t in range(L):
-                row = idx.base_sig[t]
+                row = _decode(idx, idx.base_key[t])[0]
                 assert lo[t] == np.searchsorted(row, qsig[t], side="left")
                 assert hi[t] == np.searchsorted(row, qsig[t], side="right")
+
+
+def _packed_index(rng, layout):
+    """An index whose base keys are uint32, uint64, or uint64 with a
+    truncated signature prefix (n=64 at c = tau = 0.99: K=62, b=6, s=5).
+
+    The truncated index's points lie in tight clusters, so in many tables
+    some points share a base prefix but not a full signature.
+    """
+    if layout == "uint32":
+        idx = maxip_init(_unit_rows(rng, 60, 12), c=0.9, tau=0.8, delta=0.2, seed=0)
+        shape = (15, 6, 0)
+    elif layout == "uint64":
+        idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95, delta=0.2,
+                         seed=3)
+        shape = (33, 8, 0)
+    else:
+        centres = _unit_rows(rng, 8, 12)
+        x = centres[np.arange(64) % 8] + 0.02 * rng.standard_normal((64, 12))
+        idx = maxip_init(x / np.linalg.norm(x, axis=1, keepdims=True),
+                         c=0.99, tau=0.99, delta=0.1, seed=7)
+        shape = (62, 6, 5)
+        assert idx.params.n_tables == 41
+    assert (idx.params.k_bits, idx._id_bits, idx._sig_drop) == shape
+    K, b = shape[:2]
+    assert idx.base_key.dtype == (np.uint32 if K + b <= 32 else np.uint64)
+    return idx
+
+
+def _assert_sorted_as_stable_argsort(idx):
+    """Each table decodes to the stable-argsort order of its prefixes."""
+    prefix = idx.cur_sig >> idx.sig_dtype(idx._sig_drop)
+    order = np.argsort(prefix, axis=1, kind="stable")
+    got_prefix, got_ids = _decode(idx, idx.base_key)
+    np.testing.assert_array_equal(got_ids, order)
+    np.testing.assert_array_equal(got_prefix, np.take_along_axis(prefix, order, axis=1))
+    assert int(idx.base_key.max()) < 1 << 63
+
+
+class TestPackedKey:
+    @pytest.mark.parametrize("layout", ["uint32", "uint64", "truncated"])
+    def test_sorted_as_stable_argsort(self, layout, monkeypatch):
+        """After the build and after every consolidation, key order is the
+        stable argsort of the (truncated) signatures, ids packed below them."""
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
+        rng = np.random.default_rng(740)
+        idx = _packed_index(rng, layout)
+        _assert_sorted_as_stable_argsort(idx)
+        if layout == "truncated":
+            # Some base prefix is shared by points whose signatures differ.
+            prefix = idx.cur_sig >> np.uint64(idx._sig_drop)
+            assert any(len(np.unique(prefix[t])) < len(np.unique(idx.cur_sig[t]))
+                       for t in range(idx.params.n_tables))
+        folds = 0
+        for _ in range(40):
+            appends = len(idx.overlay)
+            i = int(rng.integers(0, idx.n))
+            z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, idx.dim)[0]
+            maxip_update(idx, i, z / np.linalg.norm(z))
+            if len(idx.overlay) < appends:
+                folds += 1
+                _assert_sorted_as_stable_argsort(idx)
+        assert folds >= 2
+
+    @pytest.mark.parametrize("factor", [128, 1])
+    def test_truncated_prefix_matches_reference(self, factor, monkeypatch):
+        """With s > 0 a base range holds every point of the query's prefix;
+        the freshness filter keeps exactly the members of its full
+        signature, so gathers and results equal the reference's."""
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
+        rng = np.random.default_rng(741)
+        idx = _packed_index(rng, "truncated")
+        _compare_over_update_sequence(idx, rng, factor, move=0.02, near=0.02)
+
+    def test_bounds_at_32_bits_with_all_ones_signature(self):
+        """At K + b = 32 the right key of the all-ones signature is 2^32,
+        one past the largest uint32 key, and must not wrap."""
+        rng = np.random.default_rng(742)
+        idx = maxip_init(_unit_rows(rng, 256, 8), c=0.8, tau=0.98, delta=0.2, seed=1)
+        L, n, K = idx.params.n_tables, idx.n, idx.params.k_bits
+        assert K + idx._id_bits == 32 and idx.base_key.dtype == np.uint32
+        top = (1 << K) - 1
+        idx.cur_sig[:, [3, 100, 255]] = top
+        idx._consolidate()
+        assert int(idx.base_key.max()) == (1 << 32) - 1
+        for qsig in (np.full(L, top, dtype=np.uint32),
+                     np.full(L, top - 1, dtype=np.uint32), idx.cur_sig[:, 7].copy()):
+            lo, hi = idx._bounds(qsig)
+            for t in range(L):
+                row = _decode(idx, idx.base_key[t])[0]
+                assert lo[t] == np.searchsorted(row, qsig[t], side="left")
+                assert hi[t] == np.searchsorted(row, qsig[t], side="right")
+        lo, hi = idx._bounds(np.full(L, top, dtype=np.uint32))
+        assert np.all(hi == n) and np.all(lo <= n - 3)
 
 
 class TestDeterminism:
