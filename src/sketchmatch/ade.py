@@ -75,18 +75,15 @@ class SketchBank:
 
     def __init__(self, points: PointSet, plan: SketchPlan, seed) -> None:
         self.plan = plan
-        self.originals = points.points.copy()
-        self.rng = SeededRng(seed)
         m, k, d = plan.m, plan.k, plan.d
         if points.dim != d:
             raise DimensionMismatch("plan dimension does not match the point set")
         # One stacked (m*k, d) sign matrix; groups are row blocks.
-        signs = self.rng.gen.integers(0, 2, size=(m * k, d), dtype=np.int8)
+        signs = SeededRng(seed).gen.integers(0, 2, size=(m * k, d), dtype=np.int8)
         self.proj = (signs.astype(np.float64) * 2.0 - 1.0) / math.sqrt(k)
-        n = points.n
-        self.sketches = np.empty((n, m, k), dtype=np.float64)
-        for i in range(n):
-            self.sketches[i] = self._sketch(self.originals[i])
+        self.sketches = np.empty((points.n, m, k), dtype=np.float64)
+        for i, x in enumerate(points.points):
+            self.sketches[i] = self._sketch(x)
 
     def _sketch(self, v: np.ndarray) -> np.ndarray:
         # Single canonical path for every vector: identical inputs yield
@@ -116,7 +113,6 @@ def ade_update(bank: SketchBank, i: int, z) -> None:
     if not 0 <= i < bank.n:
         raise IndexError(f"index {i} out of range")
     z = as_vector(z, dim=bank.plan.d)
-    bank.originals[i] = z
     bank.sketches[i] = bank._sketch(z)
 
 

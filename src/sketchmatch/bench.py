@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ParameterError("need n >= 1, m >= 0, dim >= 1")
         if self.norm_bound <= 0:
             raise ParameterError("norm bound must be positive")
+        if self.cluster_k < 1:
+            raise ParameterError("cluster_k must be >= 1")
 
 
 @dataclass
@@ -279,11 +281,6 @@ def render_report(reports: list[TrialReport], output_format: str = "csv") -> str
         objs = [dict(zip(CSV_COLUMNS, _row_values(r))) for r in reports]
         return json.dumps(objs, indent=2) + "\n"
     raise ParameterError("output_format must be 'csv' or 'json'")
-
-
-def emit_report(reports: list[TrialReport], output_format: str, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_report(reports, output_format))
 
 
 # -- scaling -----------------------------------------------------------------

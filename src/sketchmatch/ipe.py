@@ -56,9 +56,8 @@ class IpeState:
                 "use a smaller eps or a larger norm bound"
             )
         self.delta = float(delta)
-        self.points = points.points.copy()
         transformed = np.stack(
-            [transform_data(x / self.norm_bound) for x in self.points]
+            [transform_data(x / self.norm_bound) for x in points.points]
         )
         self.bank = ade.ade_init(
             PointSet(transformed, norm_bound=1.0 + NORM_SLACK),
@@ -71,11 +70,11 @@ class IpeState:
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.bank.n
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.bank.plan.d - 2  # the embedding pads two coordinates
 
 
 def ipe_init(
@@ -98,7 +97,6 @@ def ipe_update(state: IpeState, i: int, z) -> None:
     nz = float(np.linalg.norm(z))
     if nz > state.norm_bound * (1.0 + NORM_SLACK):
         raise NormBoundError(f"||z|| = {nz:.12g} exceeds the bound {state.norm_bound}")
-    state.points[i] = z
     ade_update(state.bank, i, transform_data(z / state.norm_bound))
 
 

@@ -26,6 +26,8 @@ also re-hashes X_i whenever an arrival raises w_i.
 
 Per-offline value floors at zero: an assignment with negative weight never
 counts against the matching, mirroring the option to leave a point unmatched.
+The state logs each arrival once, with the index it was routed to, and
+realized_value recomputes the true matching value from that log.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .core import (
     SeededRng,
     as_vector,
     child_seed,
-    distance,
     transform_data,
     transform_query,
 )
@@ -64,16 +65,18 @@ class MatchState:
 
     tracked_value is the matcher's own running total s (a float) and equals
     sum(accumulated) after every update; accumulated[i] is the believed
-    value of offline point i and never decreases.  assignments[i] stores
-    the actual online vectors routed to offline point i, so the realized
-    (true-weight) value can be recomputed after the fact.
+    value of offline point i and never decreases.  The arrival log holds
+    each arrival once, in order: arrivals[j] is the j-th online vector and
+    chosen[j] the offline index it was routed to, so the realized
+    (true-weight) value can be recomputed after the fact.  flags lists the
+    arrival numbers the per-step check marked.
     """
 
     offline: PointSet
     accumulated: np.ndarray
-    assignments: list[list[np.ndarray]]
+    chosen: list[int] = field(default_factory=list)
+    arrivals: list[np.ndarray] = field(default_factory=list)
     tracked_value: float = 0.0
-    online_count: int = 0
     flags: list[int] = field(default_factory=list)
 
     @property
@@ -128,17 +131,13 @@ class _MatcherBase:
     weight: str = "inner-product"
 
     def __init__(self, offline: PointSet, epsilon: float, tau: float,
-                 delta: float, seed, instrument: bool = False) -> None:
+                 instrument: bool = False) -> None:
         self.offline = offline
         self.epsilon = float(epsilon)
         self.tau = float(tau)
-        self.delta = float(delta)
         self.instrument = bool(instrument)
-        self.state = MatchState(
-            offline=offline,
-            accumulated=np.zeros(offline.n),
-            assignments=[[] for _ in range(offline.n)],
-        )
+        self.state = MatchState(offline=offline,
+                                accumulated=np.zeros(offline.n))
 
     # subclasses: return (chosen index, estimated new value at that index)
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
@@ -161,14 +160,14 @@ class _MatcherBase:
             before = st.accumulated.copy()
         i0, est_new = self._choose(y)
         gain = max(0.0, est_new - float(st.accumulated[i0]))
-        st.assignments[i0].append(y)
+        st.chosen.append(i0)
+        st.arrivals.append(y)
         if gain > 0.0:
             st.accumulated[i0] += gain
             st.tracked_value += gain
             self._accept(i0)
         if self.instrument:
-            self._assert_step(y, i0, before, st.online_count)
-        st.online_count += 1
+            self._assert_step(y, i0, before, len(st.chosen) - 1)
         return i0
 
     def query(self) -> float:
@@ -202,11 +201,11 @@ class GreedyExact(_MatcherBase):
     def __init__(self, offline: PointSet, weight: str = "ip",
                  oracle: IncrementOracle | None = None,
                  epsilon: float = 0.0, tau: float = 0.0,
-                 instrument: bool = False, seed=0) -> None:
+                 instrument: bool = False) -> None:
         if weight not in ("ip", "dist"):
             raise ParameterError("weight must be 'ip' or 'dist'")
         eps = oracle.epsilon if oracle is not None else epsilon
-        super().__init__(offline, eps, tau, 0.0, seed, instrument)
+        super().__init__(offline, eps, tau, instrument)
         self.kind = "GreedyExact-IP" if weight == "ip" else "GreedyExact-Dist"
         self.weight = "inner-product" if weight == "ip" else "distance"
         self.oracle = oracle if oracle is not None else IncrementOracle("exact")
@@ -232,7 +231,7 @@ class DistanceMatching(_MatcherBase):
     def __init__(self, offline: PointSet, epsilon: float, delta: float, seed,
                  instrument: bool = False,
                  c_k: float = ade.DEFAULT_C_K, c_m: float = ade.DEFAULT_C_M) -> None:
-        super().__init__(offline, epsilon, 0.0, delta, seed, instrument)
+        super().__init__(offline, epsilon, 0.0, instrument)
         self.bank = ade.ade_init(offline, epsilon, delta / offline.n,
                                  child_seed(seed, 0), c_k=c_k, c_m=c_m)
 
@@ -254,7 +253,7 @@ class InnerProductMatching(_MatcherBase):
     def __init__(self, offline: PointSet, epsilon: float, delta: float, seed,
                  instrument: bool = False,
                  c_k: float = ade.DEFAULT_C_K, c_m: float = ade.DEFAULT_C_M) -> None:
-        super().__init__(offline, epsilon, 0.0, delta, seed, instrument)
+        super().__init__(offline, epsilon, 0.0, instrument)
         self.est = ipe.ipe_init(offline, epsilon, delta / offline.n,
                                 child_seed(seed, 0), c_k=c_k, c_m=c_m)
 
@@ -287,7 +286,7 @@ class FasterInnerProductMatching(_MatcherBase):
         D = offline.norm_bound
         if not 0.0 < tau < 2.0 * D:
             raise ParameterError("tau must lie in (0, 2 D)")
-        super().__init__(offline, epsilon, tau, delta, seed, instrument)
+        super().__init__(offline, epsilon, tau, instrument)
         self.scale = math.sqrt(2.0) * D
         transformed = np.stack([
             transform_data(self._augment(x, 0.0)) for x in offline.points
@@ -328,10 +327,10 @@ def match_init(kind: str, offline: PointSet, epsilon: float = 0.1,
     delta / n.  All accumulated weights and the tracked total start at zero.
     """
     if kind == "GreedyExact-IP":
-        return GreedyExact(offline, "ip", oracle=oracle, seed=seed,
+        return GreedyExact(offline, "ip", oracle=oracle,
                            instrument=instrument, **kwargs)
     if kind == "GreedyExact-Dist":
-        return GreedyExact(offline, "dist", oracle=oracle, seed=seed,
+        return GreedyExact(offline, "dist", oracle=oracle,
                            instrument=instrument, **kwargs)
     if kind == "DistanceMatching":
         return DistanceMatching(offline, epsilon, delta, seed,
@@ -356,24 +355,25 @@ def match_query(matcher: _MatcherBase) -> float:
 
 
 def realized_value(state_or_matcher, weight_fn: str = "inner-product") -> float:
-    """Exact matching value of the recorded assignments.
+    """Exact matching value of the arrival log.
 
-    Sums, over offline points, the best true weight among assigned online
-    points (floored at zero; empty lists contribute zero).  This is the
-    quantity the competitive-ratio guarantees bound; the tracked s is only
-    the matcher's belief.
+    Sums, over offline points, the best true weight among the arrivals
+    routed to them (floored at zero; points with no arrival contribute
+    zero).  One weight is computed per arrival, and np.maximum.at keeps
+    each offline point's best.  This is the quantity the competitive-ratio
+    guarantees bound; the tracked s is only the matcher's belief.
     """
     state = getattr(state_or_matcher, "state", state_or_matcher)
-    if weight_fn == "inner-product":
-        wfn = lambda x, y: float(x @ y)
-    elif weight_fn == "distance":
-        wfn = distance
-    else:
+    if weight_fn not in ("inner-product", "distance"):
         raise ParameterError("weight_fn must be 'inner-product' or 'distance'")
-    total = 0.0
-    for x, assigned in zip(state.offline.points, state.assignments):
-        best = 0.0
-        for y in assigned:
-            best = max(best, wfn(x, y))
-        total += best
-    return total
+    if not state.chosen:
+        return 0.0
+    idx = np.asarray(state.chosen, dtype=np.int64)
+    x, y = state.offline.points[idx], np.stack(state.arrivals)
+    if weight_fn == "inner-product":
+        w = np.einsum("md,md->m", x, y)
+    else:
+        w = np.linalg.norm(x - y, axis=1)
+    best = np.zeros(state.offline.n)
+    np.maximum.at(best, idx, w)
+    return float(best.sum())

@@ -312,8 +312,8 @@ class LshIndex:
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Members of bucket qsig[j] in table t = t0 + j, in probe order.
 
-        The tables [t0, t0 + len(qsig)) are one probe stage or the whole
-        index, so every overlay row scanned lies in range.  Table t
+        The tables [t0, t0 + len(qsig)) are one whole probe stage, so every
+        row of that stage's overlay buffer lies in range.  Table t
         contributes the ids (key & mask) of its base range for the prefix
         qsig[j] >> s, in ascending id order, then its overlay rows with
         signature qsig[j] in append order.  An id whose current signature in
@@ -333,10 +333,7 @@ class LshIndex:
         start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
         ids = self.base_key.ravel()[start + np.arange(len(tab))]
         ids = (ids & ((1 << self._id_bits) - 1)).astype(np.int64)
-        if t1 <= _HEAD_TABLES or t0 >= _HEAD_TABLES:  # one probe stage
-            ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
-        else:  # the whole index
-            ov = self.overlay
+        ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
         ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0] - t0])]
         if len(ov):
             # tab is sorted, so a stable sort by table puts each table's

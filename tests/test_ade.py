@@ -163,7 +163,8 @@ class TestUpdate:
             c_k=4.0, c_m=1.0,
         )
         np.testing.assert_array_equal(bank.sketches, fresh.sketches)
-        np.testing.assert_array_equal(bank.originals, fresh.originals)
+        np.testing.assert_array_equal(bank.proj, fresh.proj)
+        assert bank.sketches[4].tobytes() == bank._sketch(z).tobytes()
 
     def test_update_to_self_is_identity(self):
         bank, ps = _bank(n=10, c_k=4.0, c_m=1.0)

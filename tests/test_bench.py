@@ -102,6 +102,8 @@ class TestConfigValidation:
             ExperimentConfig(n_offline=0)
         with pytest.raises(ParameterError):
             ExperimentConfig(norm_bound=0.0)
+        with pytest.raises(ParameterError):
+            ExperimentConfig(distribution="clustered", cluster_k=0)
 
     def test_zero_online_allowed(self):
         ExperimentConfig(m_online=0)
@@ -407,6 +409,16 @@ class TestCli:
         rc = main(["--matcher", "GreedyExact-IP", "--trials", "0"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_bad_config_file_setting_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("distribution = clustered\ncluster_k = 0\n")
+        rc = main(["--config", str(cfgfile), "--n", "5", "--m", "3",
+                   "--dim", "4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "cluster_k" in captured.err
+        assert captured.out == ""
 
     def test_run_time_parameter_error_exits_2(self, capsys):
         """A setting outside a matcher's domain surfaces while the run builds it."""

@@ -1,5 +1,5 @@
-"""The demos that exercise the Max-IP index and the benchmark harness run
-to completion.
+"""The demos that exercise the Max-IP index, the benchmark harness, the
+online matchers and the distance sketch bank run to completion.
 
 Each demo runs in its own interpreter, as a user would start it, with this
 checkout's src/ first on the import path.
@@ -15,7 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["demo_maxip_search.py", "demo_benchmark_reports.py"])
+@pytest.mark.parametrize("demo", ["demo_maxip_search.py", "demo_benchmark_reports.py",
+                                  "demo_online_matching.py",
+                                  "demo_distance_sketch.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

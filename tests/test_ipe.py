@@ -15,7 +15,7 @@ including the exact-equality boundary case.
 import numpy as np
 import pytest
 
-from sketchmatch.core import NormBoundError, ParameterError, PointSet
+from sketchmatch.core import NormBoundError, ParameterError, PointSet, transform_data
 from sketchmatch.ipe import ipe_init, ipe_query, ipe_update
 
 
@@ -78,9 +78,11 @@ class TestPrecisionBudget:
 
 class TestTransformedGeometry:
     def test_stored_embeddings_are_unit(self):
-        st, _ = _state(D=2.0, eps=0.2)
-        norms = np.linalg.norm(st.bank.originals, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+        st, pts = _state(D=2.0, eps=0.2)
+        for i, x in enumerate(pts.points):
+            t = transform_data(x / 2.0)
+            assert abs(float(np.linalg.norm(t)) - 1.0) <= 1e-9
+            assert st.bank.sketches[i].tobytes() == st.bank._sketch(t).tobytes()
 
     def test_conversion_decodes_exact_distances(self):
         """D - (D/2) d^2 recovers <x, q> when d is the true padded distance."""
@@ -170,7 +172,9 @@ class TestUpdate:
             c_m=1.0,
         )
         np.testing.assert_array_equal(st.bank.sketches, fresh.bank.sketches)
-        np.testing.assert_array_equal(st.points, fresh.points)
+        np.testing.assert_array_equal(st.bank.proj, fresh.bank.proj)
+        t = transform_data(z / pts.norm_bound)
+        assert st.bank.sketches[3].tobytes() == st.bank._sketch(t).tobytes()
 
     def test_update_to_self_is_identity(self):
         st, pts = _state(n=10)

@@ -4,7 +4,7 @@ All variants share one skeleton: keep per-offline accumulated weights w_i
 and a running total s, route each arrival to the index maximizing the
 estimated increment, and advance both by the clamped gain max{0, est - w}.
 The accounting invariants (s equals the sum of the w_i after every update,
-at most one w_i moves per update, exactly one assignment is appended) are
+at most one w_i moves per update, exactly one arrival is logged) are
 checked for every variant, the 1/2-competitive guarantee and its noisy
 degradations are checked against exact offline optima, and the per-step
 instrumentation is driven both by honest estimators (never flags) and an
@@ -21,6 +21,7 @@ from sketchmatch.core import (
     ParameterError,
     PointSet,
     as_vector,
+    distance,
     transform_data,
     transform_query,
 )
@@ -29,6 +30,7 @@ from sketchmatch.matching import (
     FasterInnerProductMatching,
     GreedyExact,
     IncrementOracle,
+    MatchState,
     inject_noise_oracle,
     match_init,
     match_query,
@@ -56,7 +58,7 @@ def _matcher(kind, offline, seed=0, **kw):
 class TestAccounting:
     @pytest.mark.parametrize("kind", MATCHER_KINDS)
     def test_invariants_every_step(self, kind):
-        """s = sum(w), at most one w moves, exactly one assignment appended."""
+        """s = sum(w), at most one w moves, exactly one arrival logged."""
         rng = np.random.default_rng(hash(kind) % 2**32)
         offline = PointSet(_unit_ball(rng, 12, 6))
         m = _matcher(kind, offline, seed=3, tau=0.3, delta=0.2)
@@ -64,17 +66,18 @@ class TestAccounting:
         for step in range(25):
             y = _unit_ball(rng, 1, 6)[0]
             before = st.accumulated.copy()
-            count_before = sum(len(a) for a in st.assignments)
+            count_before = len(st.chosen)
             i0 = match_update(m, y)
             assert 0 <= i0 < offline.n
             moved = np.nonzero(st.accumulated != before)[0]
             assert len(moved) <= 1
             assert np.all(st.accumulated >= before)
-            assert sum(len(a) for a in st.assignments) == count_before + 1
-            assert len(st.assignments[i0]) >= 1
+            assert len(st.chosen) == len(st.arrivals) == count_before + 1
+            assert st.chosen[-1] == i0
+            assert st.arrivals[-1].tobytes() == y.tobytes()
             assert abs(st.tracked_value - st.accumulated.sum()) < 1e-9
             assert match_query(m) == st.tracked_value
-            assert st.online_count == step + 1
+            assert len(st.chosen) == step + 1
 
     @pytest.mark.parametrize("kind", MATCHER_KINDS)
     def test_fresh_state(self, kind):
@@ -83,7 +86,7 @@ class TestAccounting:
         m = _matcher(kind, offline, tau=0.3, delta=0.2)
         np.testing.assert_array_equal(m.state.accumulated, [0.0, 0.0, 0.0])
         assert match_query(m) == 0.0
-        assert m.state.online_count == 0
+        assert m.state.chosen == [] and m.state.arrivals == []
 
 
 class TestGreedyTraces:
@@ -432,7 +435,10 @@ class TestFasterMatcher:
 
 
 class _ReferenceFaster(FasterInnerProductMatching):
-    """The hashed matcher with its former dedicated update, kept verbatim."""
+    """The hashed matcher with its former dedicated update.
+
+    Kept as it was, except that it writes the arrival log.
+    """
 
     def update(self, y) -> int:
         y = as_vector(y, dim=self.offline.dim)
@@ -446,7 +452,8 @@ class _ReferenceFaster(FasterInnerProductMatching):
         else:
             i0 = int(self.rng.gen.integers(0, self.offline.n))
         z = float(self.offline.points[i0] @ y) - float(st.accumulated[i0])
-        st.assignments[i0].append(y)
+        st.chosen.append(i0)
+        st.arrivals.append(y)
         if z > 0.0:
             st.accumulated[i0] += z
             st.tracked_value += z
@@ -455,8 +462,7 @@ class _ReferenceFaster(FasterInnerProductMatching):
                 transform_data(self._augment(self.offline.points[i0],
                                              st.accumulated[i0])))
         if self.instrument:
-            self._assert_step(y, i0, before, st.online_count)
-        st.online_count += 1
+            self._assert_step(y, i0, before, len(st.chosen) - 1)
         return i0
 
 
@@ -503,13 +509,74 @@ class TestHashedMatcherOnSharedSkeleton:
         assert type(a.tracked_value) is float and type(b.tracked_value) is float
         assert a.tracked_value == b.tracked_value
         assert a.flags == b.flags
-        assert a.online_count == b.online_count
-        for x, y in zip(a.assignments, b.assignments):
-            assert [v.tobytes() for v in x] == [v.tobytes() for v in y]
+        assert a.chosen == b.chosen and len(a.chosen) == len(arrivals)
+        assert [v.tobytes() for v in a.arrivals] == [v.tobytes() for v in b.arrivals]
         assert new.index.cur_sig.dtype == ref.index.cur_sig.dtype
         assert new.index.cur_sig.tobytes() == ref.index.cur_sig.tobytes()
         assert new.index.stored.tobytes() == ref.index.stored.tobytes()
         assert new.index.overlay.tobytes() == ref.index.overlay.tobytes()
+
+
+def _loop_realized_value(state, weight_fn):
+    """The former realized_value: per-offline lists, then a double loop."""
+    if weight_fn == "inner-product":
+        wfn = lambda x, y: float(x @ y)
+    else:
+        wfn = distance
+    assigned = [[] for _ in range(state.offline.n)]
+    for i, y in zip(state.chosen, state.arrivals):
+        assigned[i].append(y)
+    total = 0.0
+    for x, ys in zip(state.offline.points, assigned):
+        best = 0.0
+        for y in ys:
+            best = max(best, wfn(x, y))
+        total += best
+    return total
+
+
+class TestRealizedValue:
+    @pytest.mark.parametrize("weight_fn", ["inner-product", "distance"])
+    @pytest.mark.parametrize("kind", MATCHER_KINDS)
+    def test_matches_the_double_loop(self, kind, weight_fn):
+        """Five offline points and 40 arrivals: most points take several."""
+        rng = np.random.default_rng(30 + MATCHER_KINDS.index(kind))
+        offline = PointSet(_unit_ball(rng, 5, 6))
+        m = _matcher(kind, offline, seed=4, tau=0.3, delta=0.2)
+        for y in _unit_ball(rng, 40, 6):
+            match_update(m, y)
+        st = m.state
+        assert max(np.bincount(st.chosen)) >= 2
+        want = _loop_realized_value(st, weight_fn)
+        assert want > 0.0
+        for got in (realized_value(m, weight_fn), realized_value(st, weight_fn)):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_empty_log(self):
+        m = match_init("GreedyExact-IP", PointSet(np.eye(3)))
+        assert realized_value(m) == 0.0
+        assert realized_value(m, "distance") == 0.0
+        with pytest.raises(ParameterError):
+            realized_value(m, "manhattan")
+
+    def test_best_arrival_per_point_not_the_sum(self):
+        offline = PointSet(np.eye(2))
+        m = match_init("GreedyExact-IP", offline)
+        for y in ([0.5, 0.0], [0.9, 0.0], [0.3, 0.0]):
+            assert match_update(m, y) == 0
+        assert realized_value(m) == 0.9
+        # Distances from e1: 0.5, 0.1 and 0.7.
+        assert math.isclose(realized_value(m, "distance"), 0.7, rel_tol=1e-15)
+
+    def test_negative_weights_floor_at_zero(self):
+        offline = PointSet(np.eye(2))
+        ys = [np.array(v) for v in ([-1.0, 0.0], [0.0, -0.5], [0.0, 0.25],
+                                    [-0.75, 0.0])]
+        st = MatchState(offline=offline, accumulated=np.zeros(2),
+                        chosen=[0, 1, 1, 0], arrivals=ys)
+        # Point 0 has only negative weights; point 1 keeps its best, 0.25.
+        assert realized_value(st) == 0.25
+        assert realized_value(st) == _loop_realized_value(st, "inner-product")
 
 
 class TestValidation:

@@ -370,6 +370,25 @@ def _reference_candidates(index, qsig):
     return out
 
 
+def _gather_all(index, qsig):
+    """Members of every table's bucket: the head gather, then the tail's.
+
+    The mask of ids already gathered carries from the head stage to the
+    tail, as in maxip_query, so the pair lists each id once.
+    """
+    L = len(qsig)
+    seen = np.zeros(index.n, dtype=bool)
+    tabs, idss = [], []
+    for t0, t1 in ((0, min(L, _HEAD_TABLES)), (_HEAD_TABLES, L)):
+        if t0 >= t1:
+            break
+        tab, ids = index._gather(qsig[t0:t1], t0, seen)
+        seen[ids] = True
+        tabs.append(tab)
+        idss.append(ids)
+    return np.concatenate(tabs), np.concatenate(idss)
+
+
 def _reference_query(index, q, cap=None):
     """maxip_query as the former per-table Python loop."""
     q = as_vector(q, dim=index.dim)
@@ -423,7 +442,7 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
         for q in (q / np.linalg.norm(q), _unit_rows(rng, 1, d)[0]):
             overlay_queries += len(idx.overlay) > 0
             qsig = idx._hash_one(q)
-            tab, ids = idx._gather(qsig, 0, np.zeros(n, dtype=bool))
+            tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
             for cap in (None, 3):
@@ -581,11 +600,11 @@ class TestTwoStageProbe:
             for t in np.unique(appended[:, 0]):
                 np.testing.assert_array_equal(idx.overlay[idx.overlay[:, 0] == t],
                                               appended[appended[:, 0] == t])
-            # A gather over the whole index reads both buffers; with one head
-            # key bit flipped, i is first gathered from a tail table.
+            # The head and tail gathers together read both buffers; with one
+            # head key bit flipped, i is first gathered from a tail table.
             qsig = idx.cur_sig[:, i].copy()
             qsig[:_HEAD_TABLES] ^= dtype(1)
-            tab, ids = idx._gather(qsig, 0, np.zeros(n, dtype=bool))
+            tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, j) for t, cand in _reference_candidates(idx, qsig) for j in cand]
             counts["head rows"] += len(head) > 0
@@ -608,7 +627,7 @@ class TestTwoStageProbe:
         r = maxip_query(idx, q)
         assert not r.found and r.tables_hashed == idx.params.n_tables
         qsig = idx._hash_one(q)
-        assert r.examined == len(idx._gather(qsig, 0, np.zeros(idx.n, dtype=bool))[1])
+        assert r.examined == len(_gather_all(idx, qsig)[1])
 
 
 def _shift_loop_hash(index, pts):
