@@ -12,6 +12,7 @@ import numpy as np
 
 from sketchmatch import (
     PointSet,
+    flagged_steps,
     match_init,
     match_query,
     match_update,
@@ -39,14 +40,13 @@ def main():
         ("FasterInnerProductMatching", {"epsilon": 0.2, "tau": 0.45}),
     )
     for kind, kw in kinds:
-        matcher = match_init(kind, offline, delta=0.1, seed=7,
-                             instrument=True, **kw)
+        matcher = match_init(kind, offline, delta=0.1, seed=7, **kw)
         for y in arrivals:
             match_update(matcher, y)
         realized = realized_value(matcher)
         print(f"  {kind:28s} tracked s = {match_query(matcher):.3f}  "
               f"realized = {realized:.3f}  ratio = {realized / opt:.3f}  "
-              f"flagged steps = {len(matcher.state.flags)}")
+              f"flagged steps = {len(flagged_steps(matcher))}")
 
     # The tight family for the 1/2 constant: greedy spends the versatile
     # offline axis on the first arrival, and the second arrival that only

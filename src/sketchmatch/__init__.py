@@ -40,6 +40,7 @@ from .matching import (
     InnerProductMatching,
     IncrementOracle,
     MatchState,
+    flagged_steps,
     inject_noise_oracle,
     match_init,
     match_query,
@@ -93,6 +94,7 @@ __all__ = [
     "InnerProductMatching",
     "IncrementOracle",
     "MatchState",
+    "flagged_steps",
     "inject_noise_oracle",
     "match_init",
     "match_query",

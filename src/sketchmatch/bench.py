@@ -11,9 +11,10 @@ theoretical lower bound:
     InnerProductMatching         alg >= opt / 2 - 1.5 m eps
     FasterInnerProductMatching   alg >= min{(1 - eps) opt, opt - m tau} / 2
 
-and a trial whose per-step instrumentation caught a violated estimator
-contract is reported as flagged rather than failed: the bounds only hold
-with high probability, and the flag is the event the probability is about.
+and a trial in which flagged_steps finds a step where the estimator broke
+its contract is reported as flagged rather than failed: the bounds only
+hold with high probability, and the flag is the event the probability is
+about.  cfg.instrument=False skips that check and flags nothing.
 
 Inner-product weights are floored at zero when computing opt, matching the
 matchers' option of leaving an offline point effectively unmatched.  The
@@ -43,6 +44,7 @@ from .core import ParameterError, PointSet, SeededRng, child_seed
 from .matching import (
     MATCHER_KINDS,
     IncrementOracle,
+    flagged_steps,
     match_init,
     match_query,
     match_update,
@@ -186,11 +188,7 @@ def _bound(matcher: str, oracle: IncrementOracle | None, opt: float,
 
 def _stream(cfg: ExperimentConfig, trial: int,
             oracle: IncrementOracle | None = None):
-    """Build the trial's instance and matcher, then time each arrival.
-
-    With cfg.instrument the per-step check runs after each timed update, so
-    the latencies cover the update alone.
-    """
+    """Build the trial's instance and matcher, then time each arrival."""
     offline, online = generate_dataset(cfg, trial)
     root = child_seed(cfg.seed, trial)
     matcher = match_init(
@@ -200,14 +198,10 @@ def _stream(cfg: ExperimentConfig, trial: int,
            if cfg.matcher == "FasterInnerProductMatching" else {}),
     )
     lat_ns = []
-    for step, y in enumerate(online):
-        if cfg.instrument:
-            before = matcher.state.accumulated.copy()
+    for y in online:
         t0 = time.perf_counter_ns()
-        i0 = match_update(matcher, y)
+        match_update(matcher, y)
         lat_ns.append(time.perf_counter_ns() - t0)
-        if cfg.instrument:
-            matcher._assert_step(y, i0, before, step)
     return offline, online, matcher, lat_ns
 
 
@@ -218,6 +212,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
     weight = matcher.weight
     alg = realized_value(matcher, weight)
     s = match_query(matcher)
+    flagged = cfg.instrument and bool(flagged_steps(matcher))
 
     if max(cfg.n_offline, cfg.m_online) <= OPT_SIZE_CAP:
         w = _weight_matrix(offline, online, weight)
@@ -244,7 +239,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
         d=cfg.dim, eps=cfg.epsilon, tau=cfg.tau, delta=cfg.delta,
         seed=cfg.seed, tracked_s=s, realized_alg=alg, opt=opt, ratio=ratio,
         bound=bound, bound_formula=formula, bound_satisfied=satisfied,
-        flagged=matcher.state.flagged, p50_us=p50, p99_us=p99,
+        flagged=flagged, p50_us=p50, p99_us=p99,
     )
 
 
@@ -304,10 +299,10 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
                                             "FasterInnerProductMatching")) -> SweepResult:
     """Median per-update latency vs n, log-log slope per matcher kind.
 
-    Instrumentation and opt are disabled: above the solver cap the guarantees
-    are asymptotic and only the update cost is being measured.  Each point
-    is the median of three interleaved passes over n_values, so one slow
-    phase of the host moves one pass's point rather than the fit.
+    Neither the per-step check nor opt runs: above the solver cap the
+    guarantees are asymptotic and only the update cost is being measured.
+    Each point is the median of three interleaved passes over n_values, so
+    one slow phase of the host moves one pass's point rather than the fit.
     """
     if sorted(n_values) != list(n_values) or len(n_values) < 2:
         raise ParameterError("n_values must be ascending, length >= 2")
@@ -315,8 +310,7 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
     for _ in range(3):
         for j, n in enumerate(n_values):
             for kind in kinds:
-                sub = replace(cfg, matcher=kind, n_offline=int(n),
-                              instrument=False, trials=1)
+                sub = replace(cfg, matcher=kind, n_offline=int(n), trials=1)
                 lat = _stream(sub, 0)[3]
                 runs[kind][j].append(float(np.median(lat)) / 1e3)
     med = {k: [float(np.median(r)) for r in runs[k]] for k in kinds}

@@ -26,8 +26,10 @@ also re-hashes X_i whenever an arrival raises w_i.
 
 Per-offline value floors at zero: an assignment with negative weight never
 counts against the matching, mirroring the option to leave a point unmatched.
-The state logs each arrival once, with the index it was routed to, and
-realized_value recomputes the true matching value from that log.
+The state logs each arrival once, with the index it was routed to and the
+gain credited there.  realized_value recomputes the true matching value from
+that log, and flagged_steps replays it to find the arrivals at which an
+estimate broke the per-step greedy condition.
 """
 
 from __future__ import annotations
@@ -67,21 +69,18 @@ class MatchState:
     sum(accumulated) after every update; accumulated[i] is the believed
     value of offline point i and never decreases.  The arrival log holds
     each arrival once, in order: arrivals[j] is the j-th online vector and
-    chosen[j] the offline index it was routed to, so the realized
-    (true-weight) value can be recomputed after the fact.  flags lists the
-    arrival numbers the per-step check marked.
+    chosen[j] the offline index it was routed to, and gains[j] the
+    clamped gain max(0, estimate - accumulated) credited to that index.  The
+    realized (true-weight) value and the per-step check are recomputed from
+    the log after the fact.
     """
 
     offline: PointSet
     accumulated: np.ndarray
     chosen: list[int] = field(default_factory=list)
     arrivals: list[np.ndarray] = field(default_factory=list)
+    gains: list[float] = field(default_factory=list)
     tracked_value: float = 0.0
-    flags: list[int] = field(default_factory=list)
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags)
 
 
 @dataclass
@@ -124,18 +123,16 @@ class _MatcherBase:
     """The one update skeleton; subclasses supply the choice of index.
 
     weight names the true weight in realized_value's vocabulary
-    ("inner-product" or "distance"); the per-step check scans it exactly.
+    ("inner-product" or "distance"); flagged_steps scans it exactly.
     """
 
     kind: str = ""
     weight: str = "inner-product"
 
-    def __init__(self, offline: PointSet, epsilon: float, tau: float,
-                 instrument: bool = False) -> None:
+    def __init__(self, offline: PointSet, epsilon: float, tau: float) -> None:
         self.offline = offline
         self.epsilon = float(epsilon)
         self.tau = float(tau)
-        self.instrument = bool(instrument)
         self.state = MatchState(offline=offline,
                                 accumulated=np.zeros(offline.n))
 
@@ -156,38 +153,19 @@ class _MatcherBase:
     def update(self, y) -> int:
         y = as_vector(y, dim=self.offline.dim)
         st = self.state
-        if self.instrument:
-            before = st.accumulated.copy()
         i0, est_new = self._choose(y)
         gain = max(0.0, est_new - float(st.accumulated[i0]))
         st.chosen.append(i0)
         st.arrivals.append(y)
+        st.gains.append(gain)
         if gain > 0.0:
             st.accumulated[i0] += gain
             st.tracked_value += gain
             self._accept(i0)
-        if self.instrument:
-            self._assert_step(y, i0, before, len(st.chosen) - 1)
         return i0
 
     def query(self) -> float:
         return self.state.tracked_value
-
-    def _assert_step(self, y: np.ndarray, i0: int, before: np.ndarray,
-                     step: int) -> None:
-        # Per-step greedy robustness condition on true clamped increments:
-        # the credited index must gain at least (1 - eps) of the best
-        # available increment, or come within tau of it.  A miss marks
-        # arrival `step` (whp contract of the backing estimator violated);
-        # the run continues regardless.
-        inc = np.maximum(0.0, self._exact_weights(y) - before)
-        best = float(inc.max())
-        got = float(inc[i0])
-        if got >= (1.0 - self.epsilon) * best - _FLAG_TOL:
-            return
-        if got >= best - self.tau - _FLAG_TOL:
-            return
-        self.state.flags.append(step)
 
 
 class GreedyExact(_MatcherBase):
@@ -200,12 +178,11 @@ class GreedyExact(_MatcherBase):
 
     def __init__(self, offline: PointSet, weight: str = "ip",
                  oracle: IncrementOracle | None = None,
-                 epsilon: float = 0.0, tau: float = 0.0,
-                 instrument: bool = False) -> None:
+                 epsilon: float = 0.0, tau: float = 0.0) -> None:
         if weight not in ("ip", "dist"):
             raise ParameterError("weight must be 'ip' or 'dist'")
         eps = oracle.epsilon if oracle is not None else epsilon
-        super().__init__(offline, eps, tau, instrument)
+        super().__init__(offline, eps, tau)
         self.kind = "GreedyExact-IP" if weight == "ip" else "GreedyExact-Dist"
         self.weight = "inner-product" if weight == "ip" else "distance"
         self.oracle = oracle if oracle is not None else IncrementOracle("exact")
@@ -229,9 +206,8 @@ class DistanceMatching(_MatcherBase):
     weight = "distance"
 
     def __init__(self, offline: PointSet, epsilon: float, delta: float, seed,
-                 instrument: bool = False,
                  c_k: float = ade.DEFAULT_C_K, c_m: float = ade.DEFAULT_C_M) -> None:
-        super().__init__(offline, epsilon, 0.0, instrument)
+        super().__init__(offline, epsilon, 0.0)
         self.bank = ade.ade_init(offline, epsilon, delta / offline.n,
                                  child_seed(seed, 0), c_k=c_k, c_m=c_m)
 
@@ -251,9 +227,8 @@ class InnerProductMatching(_MatcherBase):
     kind = "InnerProductMatching"
 
     def __init__(self, offline: PointSet, epsilon: float, delta: float, seed,
-                 instrument: bool = False,
                  c_k: float = ade.DEFAULT_C_K, c_m: float = ade.DEFAULT_C_M) -> None:
-        super().__init__(offline, epsilon, 0.0, instrument)
+        super().__init__(offline, epsilon, 0.0)
         self.est = ipe.ipe_init(offline, epsilon, delta / offline.n,
                                 child_seed(seed, 0), c_k=c_k, c_m=c_m)
 
@@ -279,14 +254,14 @@ class FasterInnerProductMatching(_MatcherBase):
     kind = "FasterInnerProductMatching"
 
     def __init__(self, offline: PointSet, epsilon: float, tau: float,
-                 delta: float, seed, instrument: bool = False,
+                 delta: float, seed,
                  max_tables: int = maxip.DEFAULT_MAX_TABLES) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ParameterError("epsilon must lie in (0, 1)")
         D = offline.norm_bound
         if not 0.0 < tau < 2.0 * D:
             raise ParameterError("tau must lie in (0, 2 D)")
-        super().__init__(offline, epsilon, tau, instrument)
+        super().__init__(offline, epsilon, tau)
         self.scale = math.sqrt(2.0) * D
         transformed = np.stack([
             transform_data(self._augment(x, 0.0)) for x in offline.points
@@ -319,28 +294,27 @@ class FasterInnerProductMatching(_MatcherBase):
 
 def match_init(kind: str, offline: PointSet, epsilon: float = 0.1,
                tau: float = 0.1, delta: float = 0.1, seed=0,
-               oracle: IncrementOracle | None = None,
-               instrument: bool = False, **kwargs) -> _MatcherBase:
+               oracle: IncrementOracle | None = None, **kwargs) -> _MatcherBase:
     """Build a matcher of the named kind over the offline point set.
 
     Estimator-backed kinds hand their backing structure a failure budget of
     delta / n.  All accumulated weights and the tracked total start at zero.
+    Only the GreedyExact kinds read an oracle; any other kind given one
+    raises, since a caller would take its error mode for the run's.
     """
     if kind == "GreedyExact-IP":
-        return GreedyExact(offline, "ip", oracle=oracle,
-                           instrument=instrument, **kwargs)
+        return GreedyExact(offline, "ip", oracle=oracle, **kwargs)
     if kind == "GreedyExact-Dist":
-        return GreedyExact(offline, "dist", oracle=oracle,
-                           instrument=instrument, **kwargs)
+        return GreedyExact(offline, "dist", oracle=oracle, **kwargs)
+    if oracle is not None:
+        raise ParameterError(f"matcher kind {kind!r} reads no oracle")
     if kind == "DistanceMatching":
-        return DistanceMatching(offline, epsilon, delta, seed,
-                                instrument=instrument, **kwargs)
+        return DistanceMatching(offline, epsilon, delta, seed, **kwargs)
     if kind == "InnerProductMatching":
-        return InnerProductMatching(offline, epsilon, delta, seed,
-                                    instrument=instrument, **kwargs)
+        return InnerProductMatching(offline, epsilon, delta, seed, **kwargs)
     if kind == "FasterInnerProductMatching":
         return FasterInnerProductMatching(offline, epsilon, tau, delta, seed,
-                                          instrument=instrument, **kwargs)
+                                          **kwargs)
     raise ParameterError(f"unknown matcher kind {kind!r}")
 
 
@@ -377,3 +351,27 @@ def realized_value(state_or_matcher, weight_fn: str = "inner-product") -> float:
     best = np.zeros(state.offline.n)
     np.maximum.at(best, idx, w)
     return float(best.sum())
+
+
+def flagged_steps(matcher: _MatcherBase) -> list[int]:
+    """Arrival numbers at which the greedy per-step condition failed.
+
+    Replays the arrival log from zero weights: each step tests the true
+    clamped increments, then credits the logged gain, in the update's
+    order.  The credited index must gain at least (1 - eps) of the best
+    available increment, or come within tau of it.  A miss marks a step at
+    which the backing estimator's high-probability contract was violated;
+    the run itself was not interrupted.  Costs one exact scan per arrival.
+    """
+    st = matcher.state
+    before = np.zeros(st.offline.n)
+    flags = []
+    for step, (i0, y, gain) in enumerate(zip(st.chosen, st.arrivals, st.gains)):
+        inc = np.maximum(0.0, matcher._exact_weights(y) - before)
+        best = float(inc.max())
+        got = float(inc[i0])
+        if not (got >= (1.0 - matcher.epsilon) * best - _FLAG_TOL
+                or got >= best - matcher.tau - _FLAG_TOL):
+            flags.append(step)
+        before[i0] += gain
+    return flags

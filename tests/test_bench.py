@@ -11,10 +11,12 @@ violations.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sketchmatch import bench
 from sketchmatch.bench import (
     CSV_COLUMNS,
     DISTRIBUTIONS,
@@ -36,7 +38,7 @@ from sketchmatch.bench import (
 from sketchmatch.core import ParameterError, child_seed
 from sketchmatch.matching import (
     IncrementOracle,
-    _MatcherBase,
+    flagged_steps,
     inject_noise_oracle,
     match_init,
     match_update,
@@ -167,37 +169,55 @@ class TestRunTrial:
         assert r.p99_us >= r.p50_us
 
     def test_latency_excludes_the_step_check(self, monkeypatch):
-        """The per-step check runs once per arrival, outside the timed update."""
-        steps = []
-        check = _MatcherBase._assert_step
+        """The per-step check runs once, after the timed stream, and only
+        when the config asks for it."""
+        logged = []
 
-        def slow_check(self, y, i0, before, step):
-            time.sleep(0.005)
-            steps.append(step)
-            check(self, y, i0, before, step)
+        def slow_check(matcher):
+            time.sleep(0.005 * len(matcher.state.chosen))
+            logged.append(len(matcher.state.chosen))
+            return flagged_steps(matcher)
 
-        monkeypatch.setattr(_MatcherBase, "_assert_step", slow_check)
+        monkeypatch.setattr(bench, "flagged_steps", slow_check)
         cfg = ExperimentConfig(n_offline=30, m_online=20, dim=6,
                                measure_latency=True)
         assert cfg.instrument
         r = run_trial(cfg)
-        assert steps == list(range(20))
+        assert logged == [20]
         assert 0.0 < r.p50_us < 2500.0
+        run_trial(replace(cfg, instrument=False))
+        assert logged == [20]
 
     def test_stream_flags_the_steps_the_matcher_would(self):
-        """Checking after the timed update flags the matcher's own steps."""
+        """run_trial flags a trial exactly when the matcher's stream has a
+        flagged step."""
         cfg = ExperimentConfig(n_offline=30, m_online=40, dim=6, epsilon=0.1,
                                measure_latency=False)
-        offline, online, m, _ = _stream(
-            cfg, 0, inject_noise_oracle("multiplicative", 0.5, 5))
+
+        def oracle():
+            return inject_noise_oracle("multiplicative", 0.5, 5)
+
+        r = run_trial(cfg, 0, oracle())
+        offline, online, m, _ = _stream(cfg, 0, oracle())
         own = match_init(cfg.matcher, offline, epsilon=cfg.epsilon, tau=cfg.tau,
                          delta=cfg.delta, seed=child_seed(child_seed(cfg.seed, 0), 2),
-                         oracle=inject_noise_oracle("multiplicative", 0.5, 5),
-                         instrument=True)
+                         oracle=oracle())
         for y in online:
             match_update(own, y)
-        assert own.state.flags and m.state.flags == own.state.flags
+        assert flagged_steps(own) and flagged_steps(m) == flagged_steps(own)
         assert m.state.accumulated.tobytes() == own.state.accumulated.tobytes()
+        assert r.flagged
+        assert not run_trial(replace(cfg, instrument=False), 0, oracle()).flagged
+        assert not run_trial(cfg, 0).flagged
+
+    def test_oracle_for_a_kind_that_reads_none_is_rejected(self):
+        """The bound must not follow an oracle the matcher never consulted."""
+        cfg = ExperimentConfig(matcher="InnerProductMatching", n_offline=20,
+                               m_online=20, dim=6, epsilon=0.12,
+                               measure_latency=False)
+        with pytest.raises(ParameterError, match="reads no oracle"):
+            run_trial(cfg, oracle=inject_noise_oracle("multiplicative", 0.1, 1))
+        assert run_trial(cfg).bound_formula == "half-opt-minus-1.5-m-eps"
 
     def test_noisy_trial_keeps_its_bound(self):
         cfg = ExperimentConfig(n_offline=12, m_online=10, dim=5,
@@ -288,8 +308,6 @@ class TestReports:
         cfg = ExperimentConfig(**FAST)
         good = run_trial(cfg)
         assert exit_code([good]) == 0
-        from dataclasses import replace
-
         violated = replace(good, bound_satisfied=False, flagged=False)
         excused = replace(good, bound_satisfied=False, flagged=True)
         assert exit_code([violated]) == 1

@@ -1,5 +1,7 @@
 """The demos that exercise the Max-IP index, the benchmark harness, the
-online matchers and the distance sketch bank run to completion.
+online matchers, the distance sketch bank, the combinatorial oracles and the
+weighted sampler run to completion.  The inner-product sketch demo is left
+out for its run time.
 
 Each demo runs in its own interpreter, as a user would start it, with this
 checkout's src/ first on the import path.
@@ -17,7 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["demo_maxip_search.py", "demo_benchmark_reports.py",
                                   "demo_online_matching.py",
-                                  "demo_distance_sketch.py"])
+                                  "demo_distance_sketch.py",
+                                  "demo_combinatorial_oracles.py",
+                                  "demo_weighted_sampler.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

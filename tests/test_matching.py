@@ -7,8 +7,9 @@ The accounting invariants (s equals the sum of the w_i after every update,
 at most one w_i moves per update, exactly one arrival is logged) are
 checked for every variant, the 1/2-competitive guarantee and its noisy
 degradations are checked against exact offline optima, and the per-step
-instrumentation is driven both by honest estimators (never flags) and an
-adversarial one (must flag).
+check (flagged_steps, a replay of the arrival log) is driven both by honest
+estimators (never flags) and an adversarial one (must flag), and compared
+with the former check that ran inside each update.
 """
 
 import math
@@ -31,6 +32,7 @@ from sketchmatch.matching import (
     GreedyExact,
     IncrementOracle,
     MatchState,
+    flagged_steps,
     inject_noise_oracle,
     match_init,
     match_query,
@@ -276,42 +278,145 @@ class TestIncrementOracle:
             IncrementOracle("multiplicative", 0.1).estimate(np.ones(3))
 
 
+class _Inverting:
+    """An estimator that reverses the ranking of the true weights."""
+
+    mode = "adversarial"
+    epsilon = 0.5
+    tau = 0.0
+
+    def estimate(self, w):
+        return np.asarray(w)[::-1].copy()
+
+
 class TestInstrumentation:
     def test_exact_greedy_never_flags(self):
         rng = np.random.default_rng(14)
         offline = PointSet(_unit_ball(rng, 9, 5))
-        m = match_init("GreedyExact-IP", offline, instrument=True)
+        m = match_init("GreedyExact-IP", offline)
         for y in _unit_ball(rng, 30, 5):
             match_update(m, y)
-        assert m.state.flags == []
-        assert not m.state.flagged
+        assert flagged_steps(m) == []
 
     def test_adversarial_estimates_flag_the_step(self):
         """An estimator that inverts the ranking must trip the per-step check."""
-
-        class _Inverting:
-            mode = "adversarial"
-            epsilon = 0.5
-            tau = 0.0
-
-            def estimate(self, w):
-                return np.asarray(w)[::-1].copy()
-
         offline = PointSet(np.eye(2))
-        m = GreedyExact(offline, "ip", oracle=_Inverting(), tau=0.1, instrument=True)
+        m = GreedyExact(offline, "ip", oracle=_Inverting(), tau=0.1)
         # true weights (1, 0.05); inverted estimates send the arrival to u2
         match_update(m, [1.0, 0.05])
-        assert m.state.flags == [0]
-        assert m.state.flagged
+        assert flagged_steps(m) == [0]
 
     def test_sketch_matchers_do_not_flag_benign_runs(self):
         rng = np.random.default_rng(15)
         offline = PointSet(_unit_ball(rng, 10, 6))
         for kind in ("DistanceMatching", "InnerProductMatching"):
-            m = _matcher(kind, offline, seed=4, delta=0.1, instrument=True)
+            m = _matcher(kind, offline, seed=4, delta=0.1)
             for y in _unit_ball(rng, 15, 6):
                 match_update(m, y)
-            assert m.state.flags == []
+            assert flagged_steps(m) == []
+
+
+class _InUpdateCheck:
+    """The former per-step check, run inside each update as it was.
+
+    Mixed in ahead of a matcher class: it copies accumulated before the
+    update, tests the true clamped increment of the chosen index after it,
+    and records the step on a miss.  flagged_steps must reproduce it.
+    """
+
+    def update(self, y) -> int:
+        y = as_vector(y, dim=self.offline.dim)
+        before = self.state.accumulated.copy()
+        i0 = super().update(y)
+        inc = np.maximum(0.0, self._exact_weights(y) - before)
+        best = float(inc.max())
+        got = float(inc[i0])
+        if got >= (1.0 - self.epsilon) * best - 1e-9:
+            return i0
+        if got >= best - self.tau - 1e-9:
+            return i0
+        self.flags.append(len(self.state.chosen) - 1)
+        return i0
+
+
+def _checked_run(matcher, arrivals=()):
+    """Mix the in-update check into matcher, then stream arrivals."""
+    matcher.__class__ = type("Checked" + type(matcher).__name__,
+                             (_InUpdateCheck, type(matcher)), {})
+    matcher.flags = []
+    for y in arrivals:
+        match_update(matcher, y)
+    return matcher
+
+
+def _assert_replay(m):
+    """flagged_steps equals the in-update check; the gain log is exact."""
+    st = m.state
+    assert flagged_steps(m) == m.flags
+    assert len(st.gains) == len(st.chosen) == len(st.arrivals)
+    assert all(type(g) is float and g >= 0.0 for g in st.gains)
+    total = 0.0
+    for g in st.gains:
+        total += g
+    assert total.hex() == st.tracked_value.hex()
+    acc = np.zeros(st.offline.n)
+    for i, g in zip(st.chosen, st.gains):
+        acc[i] += g
+    assert acc.tobytes() == st.accumulated.tobytes()
+    return m.flags
+
+
+class TestFlaggedSteps:
+    # Coarse sketches (c_k=0.5) break their band often enough to flag.
+    KIND_KW = {
+        "GreedyExact-IP": {},
+        "GreedyExact-Dist": {},
+        "DistanceMatching": dict(epsilon=0.09, c_k=0.5, c_m=1.0),
+        "InnerProductMatching": dict(epsilon=0.12, c_k=0.5, c_m=1.0),
+        "FasterInnerProductMatching": dict(epsilon=0.2, tau=0.3),
+    }
+
+    @pytest.mark.parametrize("kind", MATCHER_KINDS)
+    def test_matches_the_in_update_check(self, kind):
+        rng = np.random.default_rng([9, 1])
+        offline = PointSet(_unit_ball(rng, 40, 8))
+        arrivals = _unit_ball(rng, 60, 8)
+        m = _checked_run(match_init(kind, offline, seed=1, delta=0.1,
+                                    **self.KIND_KW[kind]), arrivals)
+        flags = _assert_replay(m)
+        assert bool(flags) == (not kind.startswith("GreedyExact"))
+
+    @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+    @pytest.mark.parametrize("weight", ["ip", "dist"])
+    def test_noisy_oracles(self, weight, mode):
+        rng = np.random.default_rng([9, 5])
+        offline = PointSet(_unit_ball(rng, 40, 8))
+        m = GreedyExact(offline, weight,
+                        oracle=inject_noise_oracle(mode, 0.5, seed=5))
+        assert _assert_replay(_checked_run(m, _unit_ball(rng, 60, 8)))
+
+    def test_inverting_estimator(self):
+        rng = np.random.default_rng(16)
+        offline = PointSet(_unit_ball(rng, 12, 5))
+        m = GreedyExact(offline, "ip", oracle=_Inverting(), tau=0.1)
+        flags = _assert_replay(_checked_run(m, _unit_ball(rng, 30, 5)))
+        assert 0 < len(flags) < 30
+
+    def test_hashed_matcher_at_the_acceptance_radius(self):
+        """Criterion 04's first setting: radius 0.25, eps = tau = 0.1."""
+        flagged = 0
+        for trial in range(15, 28):
+            rng = np.random.default_rng([404, trial, 250])
+            n, m = (int(v) for v in rng.integers(50, 201, size=2))
+            offline = PointSet(_unit_ball(rng, n, 16, 0.25), norm_bound=0.25)
+            matcher = match_init("FasterInnerProductMatching", offline,
+                                 epsilon=0.1, tau=0.1, delta=0.1, seed=trial)
+            flagged += bool(_assert_replay(
+                _checked_run(matcher, _unit_ball(rng, m, 16))))
+        assert 0 < flagged < 13
+
+    def test_empty_log(self):
+        assert flagged_steps(match_init("GreedyExact-IP", PointSet(np.eye(3)))) == []
 
 
 class TestSketchBackedMatchers:
@@ -443,8 +548,6 @@ class _ReferenceFaster(FasterInnerProductMatching):
     def update(self, y) -> int:
         y = as_vector(y, dim=self.offline.dim)
         st = self.state
-        if self.instrument:
-            before = st.accumulated.copy()
         q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
         res = maxip.maxip_query(self.index, q)
         if res.found:
@@ -454,6 +557,7 @@ class _ReferenceFaster(FasterInnerProductMatching):
         z = float(self.offline.points[i0] @ y) - float(st.accumulated[i0])
         st.chosen.append(i0)
         st.arrivals.append(y)
+        st.gains.append(max(0.0, z))
         if z > 0.0:
             st.accumulated[i0] += z
             st.tracked_value += z
@@ -461,8 +565,6 @@ class _ReferenceFaster(FasterInnerProductMatching):
                 self.index, i0,
                 transform_data(self._augment(self.offline.points[i0],
                                              st.accumulated[i0])))
-        if self.instrument:
-            self._assert_step(y, i0, before, len(st.chosen) - 1)
         return i0
 
 
@@ -474,14 +576,17 @@ def _clustered(rng, count, centres, spread=0.15):
 
 
 class TestHashedMatcherOnSharedSkeleton:
-    @pytest.mark.parametrize("instrument", [False, True])
+    @pytest.mark.parametrize("in_update_check", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference_update_bitwise(self, seed, instrument, monkeypatch):
+    def test_matches_reference_update_bitwise(self, seed, in_update_check,
+                                              monkeypatch):
         """The shared update reproduces the former hashed update exactly.
 
         Clustered arrivals first find large increments, then mostly fall
         back once their cluster's weights are filled; _REBUILD_FACTOR=1
-        makes the index consolidate every few rehashes.
+        makes the index consolidate every few rehashes.  With
+        in_update_check the reference also runs the former per-step check
+        inside each update, and flagged_steps must agree with it.
         """
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(100 + seed)
@@ -489,10 +594,11 @@ class TestHashedMatcherOnSharedSkeleton:
         centres /= np.linalg.norm(centres, axis=1, keepdims=True)
         offline = PointSet(_clustered(rng, 24, centres))
         arrivals = _clustered(rng, 240, centres)
-        kw = dict(epsilon=0.2, tau=0.5, delta=0.2, seed=seed,
-                  instrument=instrument)
+        kw = dict(epsilon=0.2, tau=0.5, delta=0.2, seed=seed)
         new = FasterInnerProductMatching(offline, **kw)
         ref = _ReferenceFaster(offline, **kw)
+        if in_update_check:
+            ref = _checked_run(ref)
         found = fallback = consolidations = 0
         for y in arrivals:
             q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
@@ -508,7 +614,10 @@ class TestHashedMatcherOnSharedSkeleton:
         assert a.accumulated.tobytes() == b.accumulated.tobytes()
         assert type(a.tracked_value) is float and type(b.tracked_value) is float
         assert a.tracked_value == b.tracked_value
-        assert a.flags == b.flags
+        assert np.array(a.gains).tobytes() == np.array(b.gains).tobytes()
+        assert flagged_steps(new) == flagged_steps(ref)
+        if in_update_check:
+            assert flagged_steps(ref) == ref.flags
         assert a.chosen == b.chosen and len(a.chosen) == len(arrivals)
         assert [v.tobytes() for v in a.arrivals] == [v.tobytes() for v in b.arrivals]
         assert new.index.cur_sig.dtype == ref.index.cur_sig.dtype
@@ -584,6 +693,17 @@ class TestValidation:
         offline = PointSet(np.eye(2))
         with pytest.raises(ParameterError):
             match_init("TurboMatcher", offline)
+
+    def test_oracle_only_for_greedy_kinds(self):
+        """A kind that would never consult the oracle refuses it."""
+        offline = PointSet(np.eye(3))
+        oracle = inject_noise_oracle("multiplicative", 0.1, seed=1)
+        for kind in MATCHER_KINDS:
+            if kind.startswith("GreedyExact"):
+                assert match_init(kind, offline, oracle=oracle).oracle is oracle
+            else:
+                with pytest.raises(ParameterError, match="reads no oracle"):
+                    _matcher(kind, offline, oracle=oracle, tau=0.3)
 
     def test_bad_weight_name(self):
         with pytest.raises(ParameterError):
