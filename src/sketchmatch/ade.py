@@ -21,6 +21,13 @@ matrix-vector product, so bit-identical inputs produce bit-identical
 sketches; a query equal to a stored point reports distance exactly 0.
 Updating a point and rebuilding from scratch with the same seed therefore
 agree bit for bit.
+
+A query costs O(m k (n + d)) time: one sketch product, then one pass over
+the bank.  The pass runs over row blocks of at most _CHUNK_BYTES (or of one
+row), so the extra memory is O(n m) for the squared group norms plus one
+block, never a full (n, m, k) difference tensor.  The median is the middle
+order statistic of the squared norms, taken by partition, and only it is
+square-rooted.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .core import DimensionMismatch, ParameterError, PointSet, SeededRng, as_vec
 
 DEFAULT_C_K = 16.0
 DEFAULT_C_M = 9.0
+# Bytes of sketch differences held at once while a query reduces the bank.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,23 @@ def ade_query(bank: SketchBank, q) -> np.ndarray:
     """Estimated distances from q to every stored point.
 
     Returns an (n,) array; entry i is the median over groups of the sketch
-    difference norm.  Cost is O(m k (n + d)) independent of estimate count.
+    difference norm.  Time is O(m k (n + d)); extra memory is O(n m) for the
+    squared group norms plus one block of differences, _CHUNK_BYTES or one
+    row of m k floats, whichever is larger.
     """
     q = as_vector(q, dim=bank.plan.d)
     q_sk = bank._sketch(q)  # (m, k)
-    diff = bank.sketches - q_sk[np.newaxis, :, :]  # (n, m, k)
-    per_group = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
-    return np.median(per_group, axis=1)
+    n, m, k = bank.sketches.shape
+    rows = min(n, max(1, _CHUNK_BYTES // (m * k * 8)))
+    block = np.empty((rows, m, k), dtype=np.float64)
+    sq = np.empty((n, m), dtype=np.float64)
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        diff = block[: b - a]
+        np.subtract(bank.sketches[a:b], q_sk, out=diff)
+        np.einsum("nmk,nmk->nm", diff, diff, out=sq[a:b])
+    # m is odd, so the median is the middle order statistic, and sqrt is
+    # monotone and correctly rounded: the root of the middle squared norm
+    # equals the median of the roots bit for bit.
+    sq.partition(m // 2, axis=1)
+    return np.sqrt(sq[:, m // 2])

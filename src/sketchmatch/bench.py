@@ -14,7 +14,11 @@ theoretical lower bound:
 and a trial in which flagged_steps finds a step where the estimator broke
 its contract is reported as flagged rather than failed: the bounds only
 hold with high probability, and the flag is the event the probability is
-about.  cfg.instrument=False skips that check and flags nothing.
+about.  cfg.instrument=False skips that check and flags nothing.  A trial
+run through a noisy oracle takes eps from the oracle, whose error the
+estimates carried, for both its bound and its report.  A bound that is not
+positive (opt < m tau, say, or NaN above the solver cap) asks nothing of the
+matcher, so the trial reports bound_vacuous next to bound_satisfied.
 
 Inner-product weights are floored at zero when computing opt, matching the
 matchers' option of leaving an offline point effectively unmatched.  The
@@ -59,8 +63,8 @@ BOUND_TOL = 1e-9
 
 CSV_COLUMNS = (
     "trial", "matcher", "n", "m", "d", "eps", "tau", "delta", "seed",
-    "s", "alg", "opt", "ratio", "bound", "bound_satisfied", "flagged",
-    "p50_us", "p99_us",
+    "s", "alg", "opt", "ratio", "bound", "bound_satisfied", "bound_vacuous",
+    "flagged", "p50_us", "p99_us",
 )
 
 
@@ -119,6 +123,7 @@ class TrialReport:
     bound: float
     bound_formula: str
     bound_satisfied: bool
+    bound_vacuous: bool
     flagged: bool
     p50_us: float
     p99_us: float
@@ -213,6 +218,9 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
     alg = realized_value(matcher, weight)
     s = match_query(matcher)
     flagged = cfg.instrument and bool(flagged_steps(matcher))
+    # A noisy oracle's own epsilon is the error the estimates carried and
+    # the band flagged_steps tested, so the bound and the report use it.
+    eps = oracle.epsilon if oracle is not None else cfg.epsilon
 
     if max(cfg.n_offline, cfg.m_online) <= OPT_SIZE_CAP:
         w = _weight_matrix(offline, online, weight)
@@ -220,7 +228,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
             w = np.maximum(w, 0.0)
         opt = optimal_matching(w).value if w.size else 0.0
         bound, formula = _bound(cfg.matcher, oracle, opt,
-                                cfg.m_online, cfg.epsilon, cfg.tau)
+                                cfg.m_online, eps, cfg.tau)
         ratio = alg / opt if opt > 0 else math.nan
         satisfied = bool(alg >= bound - BOUND_TOL)
     else:
@@ -236,10 +244,10 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
 
     return TrialReport(
         trial=trial, matcher=cfg.matcher, n=cfg.n_offline, m=cfg.m_online,
-        d=cfg.dim, eps=cfg.epsilon, tau=cfg.tau, delta=cfg.delta,
+        d=cfg.dim, eps=eps, tau=cfg.tau, delta=cfg.delta,
         seed=cfg.seed, tracked_s=s, realized_alg=alg, opt=opt, ratio=ratio,
         bound=bound, bound_formula=formula, bound_satisfied=satisfied,
-        flagged=flagged, p50_us=p50, p99_us=p99,
+        bound_vacuous=not bound > 0, flagged=flagged, p50_us=p50, p99_us=p99,
     )
 
 
@@ -260,7 +268,8 @@ def _row_values(r: TrialReport) -> list:
             float(r.eps), float(r.tau), float(r.delta), r.seed,
             float(r.tracked_s), float(r.realized_alg), float(r.opt),
             float(r.ratio), float(r.bound),
-            r.bound_satisfied, r.flagged, float(r.p50_us), float(r.p99_us)]
+            r.bound_satisfied, r.bound_vacuous, r.flagged,
+            float(r.p50_us), float(r.p99_us)]
 
 
 def render_report(reports: list[TrialReport], output_format: str = "csv") -> str:

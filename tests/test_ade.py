@@ -9,12 +9,14 @@ accuracy guarantee is checked as a bound on the fraction of failing seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sketchmatch.core import DimensionMismatch, ParameterError, PointSet
 from sketchmatch.ade import (
+    _CHUNK_BYTES,
     DEFAULT_C_K,
     DEFAULT_C_M,
     SketchPlan,
@@ -27,6 +29,13 @@ from sketchmatch.ade import (
 def _unit_ball_points(rng, n, d):
     pts = rng.standard_normal((n, d))
     return pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def _reference_query(bank, q):
+    """The unblocked formula: full (n, m, k) differences, median of roots."""
+    q_sk = bank._sketch(np.asarray(q, dtype=np.float64))
+    diff = bank.sketches - q_sk[np.newaxis]
+    return np.median(np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)), axis=1)
 
 
 def _bank(seed=0, n=12, d=8, eps=0.09, delta=0.1, **kw):
@@ -123,6 +132,41 @@ class TestQuery:
         est = ade_query(bank, q)
         for i in range(ps.n):
             assert est[i] in per_group[i]
+
+    @pytest.mark.parametrize("n,c_k,c_m,shape", [
+        (12, 4.0, 1.0, "n below one block"),
+        (30, 4.0, 1.0, "ragged last block"),
+        (12, DEFAULT_C_K, DEFAULT_C_M, "one-row blocks"),
+    ])
+    def test_blocked_reduction_is_bitwise_the_full_formula(self, n, c_k, c_m,
+                                                           shape):
+        bank, ps = _bank(n=n, c_k=c_k, c_m=c_m)
+        m, k = bank.plan.m, bank.plan.k
+        rows = _CHUNK_BYTES // (m * k * 8)
+        covered = {"n below one block": rows > n,
+                   "ragged last block": 1 <= rows < n and n % rows != 0,
+                   "one-row blocks": m * k * 8 > _CHUNK_BYTES}
+        assert covered[shape]
+        rng = np.random.default_rng(11)
+        queries = [rng.standard_normal(ps.dim) * 0.3 for _ in range(4)]
+        for i, x in enumerate(list(ps.points[:3]) + queries):
+            est = ade_query(bank, x)
+            assert np.array_equal(est, _reference_query(bank, x))
+            if i < 3:
+                assert est[i] == 0.0
+
+    def test_query_memory_is_one_block(self):
+        """One query never holds the bank-sized difference tensor."""
+        bank, ps = _bank(n=200, c_k=4.0, c_m=1.0)
+        assert bank.sketches.nbytes >= 8 * _CHUNK_BYTES
+        q = np.full(ps.dim, 0.1)
+        tracemalloc.start()
+        try:
+            ade_query(bank, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bank.sketches.nbytes / 2
 
     def test_wrong_dimension_rejected(self):
         bank, ps = _bank(c_k=4.0, c_m=1.0)

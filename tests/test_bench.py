@@ -160,6 +160,7 @@ class TestRunTrial:
         assert math.isnan(r.opt) and math.isnan(r.ratio) and math.isnan(r.bound)
         assert r.bound_formula == "not-computed"
         assert r.bound_satisfied
+        assert r.bound_vacuous
 
     def test_latency_percentiles_populated_when_measured(self):
         cfg = ExperimentConfig(n_offline=10, m_online=15, dim=4,
@@ -219,6 +220,22 @@ class TestRunTrial:
             run_trial(cfg, oracle=inject_noise_oracle("multiplicative", 0.1, 1))
         assert run_trial(cfg).bound_formula == "half-opt-minus-1.5-m-eps"
 
+    def test_noisy_trial_bound_uses_the_oracle_epsilon(self):
+        """The bound and the eps column follow the error the estimates
+        carried, which is also the band the trial was flagged against."""
+        cfg = ExperimentConfig(n_offline=30, m_online=40, dim=6, epsilon=0.1,
+                               measure_latency=False)
+        oracle = inject_noise_oracle("multiplicative", 0.5, 5)
+        r = run_trial(cfg, 0, oracle)
+        assert r.eps == 0.5
+        assert (r.bound, r.bound_formula) == _bound(
+            cfg.matcher, oracle, r.opt, cfg.m_online, 0.5, cfg.tau)
+        assert r.bound == 0.5 * (1.0 - 2.0 * 0.5) * r.opt
+        assert r.flagged and r.bound_vacuous
+        plain = run_trial(cfg, 0)
+        assert plain.eps == cfg.epsilon and plain.opt == r.opt
+        assert not plain.bound_vacuous
+
     def test_noisy_trial_keeps_its_bound(self):
         cfg = ExperimentConfig(n_offline=12, m_online=10, dim=5,
                                epsilon=0.1, measure_latency=False)
@@ -263,8 +280,8 @@ class TestReports:
     def test_csv_columns_frozen(self):
         assert CSV_COLUMNS == (
             "trial", "matcher", "n", "m", "d", "eps", "tau", "delta", "seed",
-            "s", "alg", "opt", "ratio", "bound", "bound_satisfied", "flagged",
-            "p50_us", "p99_us",
+            "s", "alg", "opt", "ratio", "bound", "bound_satisfied",
+            "bound_vacuous", "flagged", "p50_us", "p99_us",
         )
 
     def test_csv_shape(self):
@@ -303,6 +320,19 @@ class TestReports:
         ja = render_report(run_experiment(cfg), "json")
         jb = render_report(run_experiment(cfg), "json")
         assert ja == jb
+
+    def test_vacuous_bound_is_reported(self):
+        """A negative bound still reads as satisfied, so the report says it
+        was vacuous; the exit code does not change."""
+        cfg = ExperimentConfig(matcher="FasterInnerProductMatching",
+                               n_offline=256, m_online=128, dim=128,
+                               epsilon=0.2, tau=0.5, measure_latency=False)
+        r = run_trial(cfg)
+        assert r.bound < 0 and r.bound_satisfied and r.bound_vacuous
+        assert exit_code([r]) == 0
+        row = json.loads(render_report([r], "json"))[0]
+        assert row["bound_vacuous"] is True and row["bound_satisfied"] is True
+        assert not run_trial(ExperimentConfig(**FAST)).bound_vacuous
 
     def test_exit_code_predicate(self):
         cfg = ExperimentConfig(**FAST)

@@ -1,7 +1,6 @@
-"""The demos that exercise the Max-IP index, the benchmark harness, the
-online matchers, the distance sketch bank, the combinatorial oracles and the
-weighted sampler run to completion.  The inner-product sketch demo is left
-out for its run time.
+"""Every demo runs to completion: the Max-IP index, the benchmark harness,
+the online matchers, the distance and inner-product sketch banks, the
+combinatorial oracles and the weighted sampler.
 
 Each demo runs in its own interpreter, as a user would start it, with this
 checkout's src/ first on the import path.
@@ -20,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", ["demo_maxip_search.py", "demo_benchmark_reports.py",
                                   "demo_online_matching.py",
                                   "demo_distance_sketch.py",
+                                  "demo_inner_product_sketch.py",
                                   "demo_combinatorial_oracles.py",
                                   "demo_weighted_sampler.py"])
 def test_demo_exits_zero(demo):
