@@ -16,11 +16,21 @@ count and width default to
 
 with generous constants C_k = 16, C_m = 9 that callers may tighten.
 
-Every vector (stored, updated, or queried) is sketched by the same
-matrix-vector product, so bit-identical inputs produce bit-identical
-sketches; a query equal to a stored point reports distance exactly 0.
-Updating a point and rebuilding from scratch with the same seed therefore
-agree bit for bit.
+Every vector (stored, updated, or queried) takes the same path: one float64
+matrix-vector product (the sketch map), a division by the bank's `scale`,
+the power of two nearest the point set's norm bound, and a cast to float32.
+Bit-identical inputs therefore produce bit-identical sketches; a query
+equal to a stored point reports distance exactly 0, and updating a point
+and rebuilding from scratch with the same seed agree bit for bit.  Only the
+stored bank and the query's reduction are float32.  Each stored coordinate
+is rounded by about 2^-24 relative, so the error this adds to an estimate
+is additive, about 2^-24 (||q|| + ||x_i||), plus a relative error of at
+most about k 2^-24 from the float32 sums: a near-duplicate whose distance
+is not far above 2^-24 times the norms loses the (1 +- eps) band.  The
+division by the power of two is exact and only moves the float32 range to
+the data's scale; vectors whose norm exceeds _RANGE times the scale are
+rejected, which keeps every squared group norm finite, and distances
+below about 2^-63 times the scale lose precision to float32 underflow.
 
 A query costs O(m k (n + d)) time: one sketch product, then one pass over
 the bank.  The pass runs over row blocks of at most _CHUNK_BYTES (or of one
@@ -43,6 +53,12 @@ DEFAULT_C_K = 16.0
 DEFAULT_C_M = 9.0
 # Bytes of sketch differences held at once while a query reduces the bank.
 _CHUNK_BYTES = 1 << 18
+# Storage and reduction dtype of the bank; the sketch map stays float64.
+_BANK_DTYPE = np.float32
+# Largest vector norm, in units of the bank's scale, that may be sketched
+# into the bank: a group's squared difference norm stays below
+# d (2 _RANGE)^2 < 2^128, float32's limit, for any d below 2^46.
+_RANGE = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -90,14 +106,27 @@ class SketchBank:
         # One stacked (m*k, d) sign matrix; groups are row blocks.
         signs = SeededRng(seed).gen.integers(0, 2, size=(m * k, d), dtype=np.int8)
         self.proj = (signs.astype(np.float64) * 2.0 - 1.0) / math.sqrt(k)
-        self.sketches = np.empty((points.n, m, k), dtype=np.float64)
+        self.scale = 2.0 ** round(math.log2(points.norm_bound))
+        self.sketches = np.empty((points.n, m, k), dtype=_BANK_DTYPE)
         for i, x in enumerate(points.points):
-            self.sketches[i] = self._sketch(x)
+            self.sketches[i] = self._stored(x)
 
     def _sketch(self, v: np.ndarray) -> np.ndarray:
+        # The sketch map: one float64 product per vector, never batched, as
+        # a matrix-matrix product may round differently in the last bits.
+        return (self.proj @ v).reshape(self.plan.m, self.plan.k)
+
+    def _stored(self, v: np.ndarray) -> np.ndarray:
         # Single canonical path for every vector: identical inputs yield
         # identical sketches, which the zero-distance guarantee relies on.
-        return (self.proj @ v).reshape(self.plan.m, self.plan.k)
+        # The division by a power of two is exact; the cast rounds.
+        norm = float(np.linalg.norm(v))
+        if norm > _RANGE * self.scale:
+            raise ParameterError(
+                f"vector norm {norm:.6g} exceeds {_RANGE:.6g} times the bank's "
+                f"scale {self.scale:.6g}"
+            )
+        return (self._sketch(v) / self.scale).astype(_BANK_DTYPE)
 
     @property
     def n(self) -> int:
@@ -122,23 +151,25 @@ def ade_update(bank: SketchBank, i: int, z) -> None:
     if not 0 <= i < bank.n:
         raise IndexError(f"index {i} out of range")
     z = as_vector(z, dim=bank.plan.d)
-    bank.sketches[i] = bank._sketch(z)
+    bank.sketches[i] = bank._stored(z)
 
 
 def ade_query(bank: SketchBank, q) -> np.ndarray:
     """Estimated distances from q to every stored point.
 
-    Returns an (n,) array; entry i is the median over groups of the sketch
-    difference norm.  Time is O(m k (n + d)); extra memory is O(n m) for the
-    squared group norms plus one block of differences, _CHUNK_BYTES or one
-    row of m k floats, whichever is larger.
+    Returns an (n,) float64 array; entry i is the median over groups of the
+    sketch difference norm, reduced in the bank's float32 and scaled back.
+    Raises ParameterError if ||q|| exceeds _RANGE times the bank's scale.
+    Time is O(m k (n + d)); extra memory is O(n m) for the squared group
+    norms plus one block of differences, _CHUNK_BYTES or one row of m k
+    floats, whichever is larger.
     """
     q = as_vector(q, dim=bank.plan.d)
-    q_sk = bank._sketch(q)  # (m, k)
+    q_sk = bank._stored(q)  # (m, k), rounded as stored
     n, m, k = bank.sketches.shape
-    rows = min(n, max(1, _CHUNK_BYTES // (m * k * 8)))
-    block = np.empty((rows, m, k), dtype=np.float64)
-    sq = np.empty((n, m), dtype=np.float64)
+    rows = min(n, max(1, _CHUNK_BYTES // (m * k * q_sk.itemsize)))
+    block = np.empty((rows, m, k), dtype=_BANK_DTYPE)
+    sq = np.empty((n, m), dtype=_BANK_DTYPE)
     for a in range(0, n, rows):
         b = min(n, a + rows)
         diff = block[: b - a]
@@ -148,4 +179,4 @@ def ade_query(bank: SketchBank, q) -> np.ndarray:
     # monotone and correctly rounded: the root of the middle squared norm
     # equals the median of the roots bit for bit.
     sq.partition(m // 2, axis=1)
-    return np.sqrt(sq[:, m // 2])
+    return np.sqrt(sq[:, m // 2]).astype(np.float64) * bank.scale

@@ -199,7 +199,10 @@ class DistanceMatching(_MatcherBase):
 
     Estimated distances are multiplicatively (1 +- eps) accurate per query
     with the sketch bank's failure budget set to delta / n, so a whole run
-    of up to n arrivals stays inside delta.
+    of up to n arrivals stays inside delta.  The float32 bank adds an
+    additive error of about 2^-24 (||y|| + ||x_i||) on top of that band,
+    and arrivals with norm above 2^40 times the offline norm bound (to the
+    nearest power of two) are rejected with ParameterError.
     """
 
     kind = "DistanceMatching"

@@ -32,10 +32,21 @@ def _unit_ball_points(rng, n, d):
 
 
 def _reference_query(bank, q):
-    """The unblocked formula: full (n, m, k) differences, median of roots."""
-    q_sk = bank._sketch(np.asarray(q, dtype=np.float64))
+    """The unblocked formula: full (n, m, k) differences, median of roots.
+
+    The query sketch is scaled and rounded to the bank's dtype and the roots
+    are taken in it, as ade_query does; only the result is widened to
+    float64 and scaled back.
+    """
+    q_sk = _as_stored(bank, np.asarray(q, dtype=np.float64))
     diff = bank.sketches - q_sk[np.newaxis]
-    return np.median(np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)), axis=1)
+    roots = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
+    return np.median(roots, axis=1).astype(np.float64) * bank.scale
+
+
+def _as_stored(bank, v):
+    """v's sketch as the bank stores it: divided by the scale, rounded."""
+    return (bank._sketch(v) / bank.scale).astype(bank.sketches.dtype)
 
 
 def _bank(seed=0, n=12, d=8, eps=0.09, delta=0.1, **kw):
@@ -108,6 +119,79 @@ class TestSketchMap:
         np.testing.assert_array_equal(bank._sketch(2.0 * v), 2.0 * bank._sketch(v))
 
 
+class TestStorage:
+    def test_bank_is_float32(self):
+        """The bank stores n m k float32 values; the projection stays float64."""
+        bank, ps = _bank(n=11, c_k=4.0, c_m=1.0)
+        m, k = bank.plan.m, bank.plan.k
+        assert bank.sketches.dtype == np.float32
+        assert bank.sketches.shape == (ps.n, m, k)
+        assert bank.sketches.nbytes == ps.n * m * k * 4
+        assert bank.proj.dtype == np.float64
+
+
+class TestRange:
+    def test_scale_is_the_nearest_power_of_two(self):
+        rng = np.random.default_rng(12)
+        pts = _unit_ball_points(rng, 5, 4) * 0.25
+        for bound, scale in [(1.0, 1.0), (1.0 + 1e-9, 1.0), (3.0, 4.0),
+                             (0.3, 0.25), (2.0**100, 2.0**100)]:
+            bank = ade_init(PointSet(pts, norm_bound=bound), 0.09, 0.1, seed=0,
+                            c_k=4.0, c_m=1.0)
+            assert bank.scale == scale
+
+    def test_large_norms_scale_exactly(self):
+        """Points, updates and queries near 2^100 give the unit-scale bank's
+        sketches and estimates times 2^100, bit for bit, where a float32
+        squared norm at that scale would overflow to inf."""
+        small, ps = _bank(n=10, c_k=4.0, c_m=1.0)
+        big = ade_init(PointSet(ps.points * 2.0**100, norm_bound=2.0**100),
+                       0.09, 0.1, seed=0, c_k=4.0, c_m=1.0)
+        rng = np.random.default_rng(13)
+        z = _unit_ball_points(rng, 1, ps.dim)[0]
+        ade_update(small, 3, z)
+        ade_update(big, 3, z * 2.0**100)
+        assert big.sketches.tobytes() == small.sketches.tobytes()
+        for q in [ps.points[2], rng.standard_normal(ps.dim)]:
+            est = ade_query(big, q * 2.0**100)
+            assert np.all(np.isfinite(est))
+            assert np.array_equal(est, ade_query(small, q) * 2.0**100)
+        assert ade_query(big, ps.points[2] * 2.0**100)[2] == 0.0
+
+    def test_out_of_range_vectors_rejected(self):
+        """Norms up to 2^40 times the scale are sketched and stay finite;
+        larger ones raise ParameterError in ade_query and ade_update."""
+        bank, ps = _bank(c_k=4.0, c_m=1.0)
+        unit = np.ones(ps.dim) / math.sqrt(ps.dim)
+        est = ade_query(bank, unit * 2.0**40)
+        assert np.all(np.isfinite(est))
+        ade_update(bank, 0, unit * 2.0**40)
+        assert np.all(np.isfinite(ade_query(bank, -unit * 2.0**40)))
+        with pytest.raises(ParameterError):
+            ade_query(bank, unit * 2.0**41)
+        with pytest.raises(ParameterError):
+            ade_update(bank, 1, unit * 2.0**41)
+
+    def test_near_duplicate_error_is_additive(self):
+        """The float32 bank moves an estimate from its float64 value by at
+        most 2^-24 (||q|| + ||x||) plus k 2^-24 relative; the (1 +- eps)
+        band holds for distances far above that additive term."""
+        bank, ps = _bank(n=4, eps=0.09)
+        rng = np.random.default_rng(14)
+        x = ps.points[1]
+        u = rng.standard_normal(ps.dim)
+        u /= np.linalg.norm(u)
+        for dist in [1e-1, 1e-3, 1e-5, 1e-7, 1e-9]:
+            q = x + dist * u
+            est = ade_query(bank, q)[1]
+            diff = bank._sketch(q) - bank._sketch(x)
+            ref = np.median(np.linalg.norm(diff, axis=1))
+            add = 2.0**-24 * (np.linalg.norm(q) + np.linalg.norm(x))
+            assert abs(est - ref) <= add + bank.plan.k * 2.0**-24 * ref
+            if dist >= 1e-5:
+                assert abs(est - dist) <= bank.plan.epsilon * dist
+
+
 class TestQuery:
     def test_exact_zero_on_stored_point(self):
         """A query equal to a stored point reports distance exactly 0."""
@@ -120,15 +204,16 @@ class TestQuery:
         bank, ps = _bank(n=9, c_k=4.0, c_m=1.0)
         est = ade_query(bank, np.zeros(ps.dim))
         assert est.shape == (9,)
+        assert est.dtype == np.float64
 
     def test_median_is_a_group_value(self):
         """With an odd group count the median equals one group's norm."""
         bank, ps = _bank(c_k=4.0, c_m=1.0)
         rng = np.random.default_rng(7)
         q = rng.standard_normal(ps.dim) * 0.1
-        q_sk = bank._sketch(q)
+        q_sk = _as_stored(bank, q)
         diff = bank.sketches - q_sk[np.newaxis]
-        per_group = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
+        per_group = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)) * bank.scale
         est = ade_query(bank, q)
         for i in range(ps.n):
             assert est[i] in per_group[i]
@@ -141,11 +226,11 @@ class TestQuery:
     def test_blocked_reduction_is_bitwise_the_full_formula(self, n, c_k, c_m,
                                                            shape):
         bank, ps = _bank(n=n, c_k=c_k, c_m=c_m)
-        m, k = bank.plan.m, bank.plan.k
-        rows = _CHUNK_BYTES // (m * k * 8)
+        row_bytes = bank.plan.m * bank.plan.k * bank.sketches.itemsize
+        rows = _CHUNK_BYTES // row_bytes
         covered = {"n below one block": rows > n,
                    "ragged last block": 1 <= rows < n and n % rows != 0,
-                   "one-row blocks": m * k * 8 > _CHUNK_BYTES}
+                   "one-row blocks": row_bytes > _CHUNK_BYTES}
         assert covered[shape]
         rng = np.random.default_rng(11)
         queries = [rng.standard_normal(ps.dim) * 0.3 for _ in range(4)]
@@ -208,7 +293,7 @@ class TestUpdate:
         )
         np.testing.assert_array_equal(bank.sketches, fresh.sketches)
         np.testing.assert_array_equal(bank.proj, fresh.proj)
-        assert bank.sketches[4].tobytes() == bank._sketch(z).tobytes()
+        assert bank.sketches[4].tobytes() == _as_stored(bank, z).tobytes()
 
     def test_update_to_self_is_identity(self):
         bank, ps = _bank(n=10, c_k=4.0, c_m=1.0)

@@ -15,6 +15,7 @@ including the exact-equality boundary case.
 import numpy as np
 import pytest
 
+from sketchmatch.ade import ade_query
 from sketchmatch.core import NormBoundError, ParameterError, PointSet, transform_data
 from sketchmatch.ipe import ipe_init, ipe_query, ipe_update
 
@@ -82,7 +83,9 @@ class TestTransformedGeometry:
         for i, x in enumerate(pts.points):
             t = transform_data(x / 2.0)
             assert abs(float(np.linalg.norm(t)) - 1.0) <= 1e-9
-            assert st.bank.sketches[i].tobytes() == st.bank._sketch(t).tobytes()
+            bank = st.bank
+            stored = (bank._sketch(t) / bank.scale).astype(bank.sketches.dtype)
+            assert bank.sketches[i].tobytes() == stored.tobytes()
 
     def test_conversion_decodes_exact_distances(self):
         """D - (D/2) d^2 recovers <x, q> when d is the true padded distance."""
@@ -174,7 +177,19 @@ class TestUpdate:
         np.testing.assert_array_equal(st.bank.sketches, fresh.bank.sketches)
         np.testing.assert_array_equal(st.bank.proj, fresh.bank.proj)
         t = transform_data(z / pts.norm_bound)
-        assert st.bank.sketches[3].tobytes() == st.bank._sketch(t).tobytes()
+        bank = st.bank
+        stored = (bank._sketch(t) / bank.scale).astype(bank.sketches.dtype)
+        assert bank.sketches[3].tobytes() == stored.tobytes()
+
+    def test_updated_point_queries_to_zero(self):
+        """The updated row's embedding, queried against the bank, sits at
+        distance exactly 0 from it."""
+        st, pts = _state(n=10, seed=6)
+        rng = np.random.default_rng(34)
+        z = _scaled_ball(rng, 1, pts.dim, pts.norm_bound)[0]
+        ipe_update(st, 5, z)
+        est = ade_query(st.bank, transform_data(z / pts.norm_bound))
+        assert est[5] == 0.0
 
     def test_update_to_self_is_identity(self):
         st, pts = _state(n=10)
