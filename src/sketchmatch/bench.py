@@ -24,8 +24,14 @@ Inner-product weights are floored at zero when computing opt, matching the
 matchers' option of leaving an offline point effectively unmatched.  The
 optimum is solved exactly up to 2000 points per side; larger trials report
 latency only.  scaling_sweep times per-update cost across a range of n and
-fits log-log slopes, which is how the sublinear matcher is compared against
-the linear scanners without asserting any particular theoretical exponent.
+fits log-log slopes, always for GreedyExact-IP against
+FasterInnerProductMatching (SWEEP_KINDS), which is how the sublinear matcher
+is compared against the linear scanners without asserting any particular
+theoretical exponent.
+
+TrialReport is the report schema: its fields are the report columns in
+order (s the tracked estimate total, alg the realized value), and only
+bound_formula, the last field, stays out of the rendered report.
 
 Everything downstream of the config seed is deterministic; per-update
 latency percentiles are the one exception, and measure_latency=False pins
@@ -60,13 +66,6 @@ from .oracle import optimal_matching
 DISTRIBUTIONS = ("uniform-sphere", "gaussian-normalized", "clustered")
 OPT_SIZE_CAP = 2000
 BOUND_TOL = 1e-9
-
-CSV_COLUMNS = (
-    "trial", "matcher", "n", "m", "d", "eps", "tau", "delta", "seed",
-    "s", "alg", "opt", "ratio", "bound", "bound_satisfied", "bound_vacuous",
-    "flagged", "p50_us", "p99_us",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,6 +106,7 @@ class ExperimentConfig:
 
 @dataclass
 class TrialReport:
+    """One trial; every field but bound_formula is a report column, in order."""
     trial: int
     matcher: str
     n: int
@@ -116,17 +116,21 @@ class TrialReport:
     tau: float
     delta: float
     seed: int
-    tracked_s: float
-    realized_alg: float
+    s: float
+    alg: float
     opt: float
     ratio: float
     bound: float
-    bound_formula: str
     bound_satisfied: bool
     bound_vacuous: bool
     flagged: bool
     p50_us: float
     p99_us: float
+    bound_formula: str
+
+
+_COLUMN_FIELDS = tuple(f for f in fields(TrialReport) if f.name != "bound_formula")
+CSV_COLUMNS = tuple(f.name for f in _COLUMN_FIELDS)
 
 
 def _sphere(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
@@ -245,7 +249,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
     return TrialReport(
         trial=trial, matcher=cfg.matcher, n=cfg.n_offline, m=cfg.m_online,
         d=cfg.dim, eps=eps, tau=cfg.tau, delta=cfg.delta,
-        seed=cfg.seed, tracked_s=s, realized_alg=alg, opt=opt, ratio=ratio,
+        seed=cfg.seed, s=s, alg=alg, opt=opt, ratio=ratio,
         bound=bound, bound_formula=formula, bound_satisfied=satisfied,
         bound_vacuous=not bound > 0, flagged=flagged, p50_us=p50, p99_us=p99,
     )
@@ -264,12 +268,9 @@ def exit_code(reports: list[TrialReport]) -> int:
 # -- reporting ---------------------------------------------------------------
 
 def _row_values(r: TrialReport) -> list:
-    return [r.trial, r.matcher, r.n, r.m, r.d,
-            float(r.eps), float(r.tau), float(r.delta), r.seed,
-            float(r.tracked_s), float(r.realized_alg), float(r.opt),
-            float(r.ratio), float(r.bound),
-            r.bound_satisfied, r.bound_vacuous, r.flagged,
-            float(r.p50_us), float(r.p99_us)]
+    # A field declared float renders as one even when it was given an int.
+    return [float(getattr(r, f.name)) if f.type == "float" else getattr(r, f.name)
+            for f in _COLUMN_FIELDS]
 
 
 def render_report(reports: list[TrialReport], output_format: str = "csv") -> str:
@@ -289,6 +290,9 @@ def render_report(reports: list[TrialReport], output_format: str = "csv") -> str
 
 # -- scaling -----------------------------------------------------------------
 
+SWEEP_KINDS = ("GreedyExact-IP", "FasterInnerProductMatching")
+
+
 @dataclass
 class SweepResult:
     n_values: list[int]
@@ -303,10 +307,8 @@ def _fit_slope(ns: list[int], med_us: list[float]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
-                  kinds: tuple[str, ...] = ("GreedyExact-IP",
-                                            "FasterInnerProductMatching")) -> SweepResult:
-    """Median per-update latency vs n, log-log slope per matcher kind.
+def scaling_sweep(cfg: ExperimentConfig, n_values: list[int]) -> SweepResult:
+    """Median per-update latency vs n, log-log slope per SWEEP_KINDS kind.
 
     Neither the per-step check nor opt runs: above the solver cap the
     guarantees are asymptotic and only the update cost is being measured.
@@ -315,15 +317,16 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int],
     """
     if sorted(n_values) != list(n_values) or len(n_values) < 2:
         raise ParameterError("n_values must be ascending, length >= 2")
-    runs: dict[str, list[list[float]]] = {k: [[] for _ in n_values] for k in kinds}
+    runs: dict[str, list[list[float]]] = {k: [[] for _ in n_values]
+                                          for k in SWEEP_KINDS}
     for _ in range(3):
         for j, n in enumerate(n_values):
-            for kind in kinds:
+            for kind in SWEEP_KINDS:
                 sub = replace(cfg, matcher=kind, n_offline=int(n), trials=1)
                 lat = _stream(sub, 0)[3]
                 runs[kind][j].append(float(np.median(lat)) / 1e3)
-    med = {k: [float(np.median(r)) for r in runs[k]] for k in kinds}
-    slopes = {k: _fit_slope(n_values, med[k]) for k in kinds}
+    med = {k: [float(np.median(r)) for r in runs[k]] for k in SWEEP_KINDS}
+    slopes = {k: _fit_slope(n_values, med[k]) for k in SWEEP_KINDS}
     dstar = 2.0 * cfg.norm_bound
     exponent = maxip_exponent(1.0 - cfg.epsilon, cfg.tau / dstar, "time")
     return SweepResult(list(n_values), med, slopes, exponent)
@@ -383,40 +386,32 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sketchmatch-bench",
         description="Online matching benchmark: ratio vs opt and update latency.")
     p.add_argument("--matcher", choices=MATCHER_KINDS)
-    p.add_argument("--n", type=int, help="offline point count")
-    p.add_argument("--m", type=int, help="online arrival count")
+    p.add_argument("--n", type=int, dest="n_offline", metavar="N",
+                   help="offline point count")
+    p.add_argument("--m", type=int, dest="m_online", metavar="M",
+                   help="online arrival count")
     p.add_argument("--dim", type=int)
     p.add_argument("--norm-bound", type=float, help="offline norm bound D")
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS")
     p.add_argument("--tau", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, help="instance distribution")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, dest="distribution",
+                   help="instance distribution")
     p.add_argument("--trials", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), dest="output_format")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--sweep", help="comma-separated n values: latency sweep mode")
     p.add_argument("--config", help="key=value file; flags override it")
     return p
 
 
-_FLAG_TO_FIELD = {
-    "matcher": "matcher", "n": "n_offline", "m": "m_online", "dim": "dim",
-    "norm_bound": "norm_bound", "eps": "epsilon", "tau": "tau",
-    "delta": "delta", "seed": "seed", "dist": "distribution",
-    "trials": "trials", "format": "output_format",
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    settings: dict = {}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[field_name] = value
+    settings = parse_config_file(args.config) if args.config else {}
+    # Each config flag's dest is its ExperimentConfig field.
+    settings.update({name: value for name, value in vars(args).items()
+                     if name in _FIELD_TYPES and value is not None})
     try:
         cfg = ExperimentConfig(**settings)
     except (ParameterError, TypeError) as exc:

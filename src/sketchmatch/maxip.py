@@ -201,8 +201,8 @@ class LshIndex:
 
     @staticmethod
     def _check_unit(pts: np.ndarray) -> None:
-        norms = np.linalg.norm(pts, axis=1) if pts.ndim == 2 else [np.linalg.norm(pts)]
-        if np.max(np.abs(np.asarray(norms) - 1.0)) > UNIT_TOL:
+        norms = np.linalg.norm(pts, axis=1)
+        if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
             raise NormBoundError("maxip operates on unit vectors; apply the transform")
 
     @property

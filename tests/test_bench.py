@@ -140,15 +140,15 @@ class TestRunTrial:
         assert r.bound_formula == "half-opt"
         assert r.bound_satisfied
         assert not r.flagged
-        assert r.realized_alg >= 0.5 * r.opt - 1e-9
-        assert abs(r.ratio - r.realized_alg / r.opt) < 1e-12
+        assert r.alg >= 0.5 * r.opt - 1e-9
+        assert abs(r.ratio - r.alg / r.opt) < 1e-12
         assert r.p50_us == 0.0 and r.p99_us == 0.0
 
     def test_zero_arrivals(self):
         cfg = ExperimentConfig(n_offline=5, m_online=0, dim=4,
                                measure_latency=False)
         r = run_trial(cfg)
-        assert r.realized_alg == 0.0 and r.tracked_s == 0.0
+        assert r.alg == 0.0 and r.s == 0.0
         assert r.opt == 0.0
         assert math.isnan(r.ratio)
         assert r.bound_satisfied
@@ -259,7 +259,7 @@ class TestRunTrial:
                                measure_latency=False)
         r = run_trial(cfg)
         assert r.matcher == matcher
-        assert np.isfinite(r.realized_alg)
+        assert np.isfinite(r.alg)
 
     def test_flag_fraction_within_budget(self):
         # Across seeds, instrumented hashed-search trials may flag at most a
@@ -310,6 +310,21 @@ class TestReports:
                 )
             else:
                 assert cell == str(jval)
+
+    def test_declared_float_fields_render_as_floats(self):
+        """The field's declared type, not the value's, picks the rendering:
+        int tau and delta still report as 0.0 and 1.0."""
+        cfg = ExperimentConfig(n_offline=6, m_online=5, dim=3, tau=0, delta=1,
+                               measure_latency=False)
+        reports = run_experiment(cfg)
+        header, row = render_report(reports, "csv").strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["tau"], cells["delta"]) == ("0.0", "1.0")
+        obj = json.loads(render_report(reports, "json"))[0]
+        assert type(obj["tau"]) is float and obj["tau"] == 0.0
+        assert type(obj["delta"]) is float and obj["delta"] == 1.0
+        assert tuple(header.split(",")) == tuple(obj) == CSV_COLUMNS
+        assert "bound_formula" not in CSV_COLUMNS
 
     def test_byte_identical_reruns(self):
         """Identical seeds render byte-identical reports."""
@@ -421,7 +436,49 @@ class TestConfigFile:
             parse_config_file(p)
 
 
+# Each config flag with a non-default value: (flag, config field, value,
+# report column or None when the report does not carry the field).
+CONFIG_FLAGS = [
+    ("--matcher", "matcher", "GreedyExact-Dist", "matcher"),
+    ("--n", "n_offline", 9, "n"),
+    ("--m", "m_online", 7, "m"),
+    ("--dim", "dim", 5, "d"),
+    ("--norm-bound", "norm_bound", 0.5, None),
+    ("--eps", "epsilon", 0.15, "eps"),
+    ("--tau", "tau", 0.2, "tau"),
+    ("--delta", "delta", 0.05, "delta"),
+    ("--seed", "seed", 11, "seed"),
+    ("--dist", "distribution", "clustered", None),
+    ("--trials", "trials", 2, None),
+    ("--format", "output_format", "json", None),
+]
+
+
 class TestCli:
+    def test_every_config_flag_reaches_its_field(self, tmp_path, monkeypatch):
+        default = ExperimentConfig()
+        assert all(value != getattr(default, field)
+                   for _, field, value, _ in CONFIG_FLAGS)
+        seen = []
+
+        def spy(cfg, oracle=None):
+            seen.append(cfg)
+            return run_experiment(cfg, oracle)
+
+        monkeypatch.setattr(bench, "run_experiment", spy)
+        out = tmp_path / "report.json"
+        argv = [tok for flag, _, value, _ in CONFIG_FLAGS
+                for tok in (flag, str(value))]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert seen == [replace(default, **{field: value for _, field, value, _
+                                            in CONFIG_FLAGS})]
+        rows = json.loads(out.read_text())
+        assert len(rows) == 2
+        for row in rows:
+            for _, _, value, column in CONFIG_FLAGS:
+                if column is not None:
+                    assert row[column] == value
+
     def test_expected_flags_exist(self):
         parser = _build_parser()
         flags = set(parser._option_string_actions)
