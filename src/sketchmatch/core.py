@@ -113,10 +113,18 @@ def _padded_tail(sq_norm: float, where: str) -> float:
 
 def transform_data(b) -> np.ndarray:
     """Embed a data point with ||b|| <= 1 as the unit vector [b, pad, 0]."""
-    b = as_vector(b)
-    sq = float(b @ b)
-    tail = _padded_tail(sq, "transform_data")
-    return np.concatenate([b, [tail, 0.0]])
+    return transform_data_rows(as_vector(b)[np.newaxis])[0]
+
+
+def transform_data_rows(b: np.ndarray) -> np.ndarray:
+    """Embed each row of the finite (n, d) array b as in transform_data.
+
+    Each pad comes from its own float(row @ row), so a row's embedding does
+    not depend on the rows beside it; a row with squared norm over 1 raises
+    NormBoundError.
+    """
+    pads = [(_padded_tail(float(r @ r), "transform_data"), 0.0) for r in b]
+    return np.concatenate([b, pads], axis=1)
 
 
 def transform_query(a, scale: float = 1.0) -> np.ndarray:

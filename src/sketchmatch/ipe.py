@@ -27,6 +27,7 @@ from .core import (
     PointSet,
     as_vector,
     transform_data,
+    transform_data_rows,
     transform_query,
 )
 from .ade import DEFAULT_C_K, DEFAULT_C_M, ade_update
@@ -56,9 +57,7 @@ class IpeState:
                 "use a smaller eps or a larger norm bound"
             )
         self.delta = float(delta)
-        transformed = np.stack(
-            [transform_data(x / self.norm_bound) for x in points.points]
-        )
+        transformed = transform_data_rows(points.points / self.norm_bound)
         self.bank = ade.ade_init(
             PointSet(transformed, norm_bound=1.0 + NORM_SLACK),
             self.epsilon0,

@@ -47,6 +47,7 @@ from .core import (
     as_vector,
     child_seed,
     transform_data,
+    transform_data_rows,
     transform_query,
 )
 
@@ -87,9 +88,10 @@ class MatchState:
 class IncrementOracle:
     """Weight-estimate source with a declared error mode.
 
-    mode "exact" returns weights untouched; "multiplicative" returns
-    w * (1 +- eps) and "additive" returns w +- eps, the sign drawn fresh per
-    estimate so the noise sits at the full allowed magnitude.
+    mode "exact" returns the given weights themselves, not a copy;
+    "multiplicative" returns w * (1 +- eps) and "additive" returns w +- eps,
+    the sign drawn fresh per estimate so the noise sits at the full allowed
+    magnitude.
     """
 
     mode: str
@@ -99,7 +101,7 @@ class IncrementOracle:
     def estimate(self, true_w: np.ndarray) -> np.ndarray:
         w = np.asarray(true_w, dtype=np.float64)
         if self.mode == "exact":
-            return w.copy()
+            return w
         if self.rng is None:
             raise ParameterError("noisy oracle needs a seeded rng")
         signs = self.rng.gen.integers(0, 2, size=w.shape) * 2.0 - 1.0
@@ -266,18 +268,18 @@ class FasterInnerProductMatching(_MatcherBase):
             raise ParameterError("tau must lie in (0, 2 D)")
         super().__init__(offline, epsilon, tau)
         self.scale = math.sqrt(2.0) * D
-        transformed = np.stack([
-            transform_data(self._augment(x, 0.0)) for x in offline.points
-        ])
         self.index = maxip.maxip_init(
-            transformed, c=1.0 - epsilon, tau=tau / (2.0 * D),
+            transform_data_rows(self._augment(offline.points, 0.0)),
+            c=1.0 - epsilon, tau=tau / (2.0 * D),
             delta=delta / offline.n, seed=child_seed(seed, 0),
             max_tables=max_tables,
         )
         self.rng = SeededRng(child_seed(seed, 1))
 
     def _augment(self, x: np.ndarray, w: float) -> np.ndarray:
-        return np.concatenate([x, [w]]) / self.scale
+        # (x, w) / scale for one point, or for every row of a stack of them.
+        last = np.full(x.shape[:-1] + (1,), w)
+        return np.concatenate([x, last], axis=-1) / self.scale
 
     def _choose(self, y: np.ndarray) -> tuple[int, float]:
         q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))

@@ -19,26 +19,29 @@ n^rho * ln(1/delta) when K needs no rounding and otherwise keeps the miss
 probability at delta despite the integer K.  rho = ln(1/p1) / ln(1/p2) is
 recorded on the params for reference.
 
-Storage layout: each table's base is one sorted array of packed keys
-(sig >> s) << b | id, where b is the bit length of n - 1 and s = max(0,
-K + b - 63) low signature bits are dropped from the base only; the key is
-uint32 when K + b <= 32 and uint64 otherwise.  Ids are unique, so sorting
-the keys orders each table by signature prefix and then by id, as a stable
-sort by signature would.  One branchless binary search probes a range of
-tables at once.  Updates go to an overlay of rows (table, signature, id),
-kept in one append buffer per probe stage, tables [0, _HEAD_TABLES) and
+Storage layout: each table's base is a bucket directory.  base_ids[t]
+holds the point ids sorted by the top B bits of their signature (the slot)
+and then by id, and base_dir[t] holds the 2^B + 1 slot offsets, so slot v
+of table t is base_ids[t, base_dir[t, v] : base_dir[t, v + 1]].  B = min(K,
+b), where b is the bit length of n - 1, so a table has fewer than 2n
+slots; both arrays use the smallest unsigned dtype that holds their
+values.  A probe stage's bucket bounds are two indexed reads of the
+directory.  Updates go to an overlay of rows (table, signature, id), kept in
+one append buffer per probe stage, tables [0, _HEAD_TABLES) and
 [_HEAD_TABLES, L), so each row is stored once.  A query probes in two
-stages: it hashes, bisects and gathers the head tables first, in
-whole-array steps, scanning only the head stage's buffer, and does the same
-for the other tables and the tail buffer only when the head neither reaches
-c * tau nor the candidate cap.  A mask of the ids already gathered carries
-across the stages, so the result equals that of one probe over all L
-tables.  Stale entries, and with s > 0 base members whose full signature
-differs from the query's, are filtered against the authoritative per-point
-signature memo.  The base is rebuilt in place once the overlay grows past
-_REBUILD_FACTOR updates' worth of entries (L rows each).  Theoretical
-query/space exponents for other constructions are exposed through
-maxip_exponent.
+stages: it hashes, bounds and gathers the head tables first, in whole-array
+steps, scanning only the head stage's buffer, and scores the gathered
+candidates in one pass; it does the same for the other tables and the tail
+buffer only when the head neither reaches c * tau nor the candidate cap.  A
+mask of the ids already gathered carries across the stages, so the result
+equals that of one probe over all L tables.  Stale entries, and base
+members whose signature shares only the slot's top B bits with the
+query's, are filtered against the authoritative per-point signature memo.
+The directory is rebuilt in place once the overlay grows past
+_REBUILD_FACTOR updates' worth of entries (L rows each).  The hyperplanes
+are stored column-major, which suits the GEMV that hashes one vector.
+Theoretical query/space exponents for other constructions are exposed
+through maxip_exponent.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ _HEAD_TABLES = 128
 # The base is re-sorted once the overlay holds more than _REBUILD_FACTOR * L
 # rows.
 _REBUILD_FACTOR = 64
+# A directory build takes tables in blocks whose intp temporaries hold about
+# this many elements (one table at least).
+_BUILD_BUDGET = 1 << 14
 
 
 def maxip_exponent(c: float, tau: float, regime: str = "time") -> float:
@@ -160,6 +166,9 @@ class LshParams:
 class MaxIpResult:
     found: bool
     index: int = -1
+    # The exact inner product of the returned point with the query, as
+    # np.einsum("ij,j->i") gives it for that row alone: the same whatever
+    # other candidates were scored next to it.
     value: float = math.nan
     # Tables whose bucket the query hashed and gathered, and candidates whose
     # inner product it computed.
@@ -188,13 +197,18 @@ class LshIndex:
         self.dim = pts.shape[1]
         L, K = self.params.n_tables, self.params.k_bits
         planes = SeededRng(seed).gen.standard_normal((L * K, self.dim))
-        planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        self.planes = planes.astype(np.float32)
+        # Unit rows, rounded to float32 and stored column-major by one divide.
+        self.planes = np.empty(planes.shape, dtype=np.float32, order="F")
+        np.divide(planes, np.linalg.norm(planes, axis=1, keepdims=True),
+                  out=self.planes, casting="same_kind")
         self.sig_dtype = np.uint32 if K <= 32 else np.uint64
-        # Base key layout: b id bits below the top K - s signature bits.
-        b = (self.n - 1).bit_length()
-        self._id_bits, self._sig_drop = b, max(0, K + b - 63)
-        self._key_dtype = np.uint32 if K + b <= 32 else np.uint64
+        # Directory layout: the slot of a signature is its top B bits.
+        n = self.n
+        self._id_bits = (n - 1).bit_length()
+        self._slot_bits = min(K, self._id_bits)
+        self.base_ids = np.empty((L, n), dtype=np.min_scalar_type(n - 1))
+        self.base_dir = np.empty((L, (1 << self._slot_bits) + 1),
+                                 dtype=np.min_scalar_type(n))
         # Authoritative per-point signatures, one row per table.
         self.cur_sig = self.hash_points(self.stored)
         self._consolidate()
@@ -258,17 +272,36 @@ class LshIndex:
     # -- bucket bookkeeping ---------------------------------------------------
 
     def _consolidate(self) -> None:
-        # Re-sort every table by current signature; overlay folds into base.
-        # The old keys go first and the new ones are built in place, so at
-        # most one key array is alive next to cur_sig.
-        self.base_key = None
-        key = self.cur_sig.astype(self._key_dtype)
-        if self._sig_drop:  # a no-op shift would still pass over L * n keys
-            key >>= self._sig_drop
-        key <<= self._id_bits
-        key |= np.arange(self.n, dtype=self._key_dtype)
-        key.sort(axis=1)
-        self.base_key = key
+        """Rebuild every table's directory from cur_sig; the overlay empties.
+
+        Tables are done in blocks of about _BUILD_BUDGET points or slots, so
+        no temporary grows with L.  A block packs keys slot << b | id, sorts
+        each row (ids are unique, so this is the stable order by slot),
+        writes the ids into base_ids and turns per-slot counts into the
+        offsets in base_dir.
+        """
+        L, n = self.cur_sig.shape
+        b, B = self._id_bits, self._slot_bits
+        slots = 1 << B
+        key_dtype = np.min_scalar_type((1 << (B + b)) - 1)
+        ids = np.arange(n, dtype=key_dtype)
+        rows = max(1, _BUILD_BUDGET // max(n, slots + 1))
+        # Row r's counts sit at r (2^B + 1) + 1 + slot, so a row-wise cumsum
+        # of the counts is that row's offsets, led by a zero.
+        row_at = np.arange(1, rows * (slots + 1), slots + 1)[:, np.newaxis]
+        for a in range(0, L, rows):
+            z = min(L, a + rows)
+            slot = self.cur_sig[a:z] >> (self.params.k_bits - B)
+            key = slot.astype(key_dtype)
+            key <<= b
+            key |= ids
+            key.sort(axis=1)
+            np.bitwise_and(key, (1 << b) - 1, out=self.base_ids[a:z],
+                           casting="unsafe")
+            at = np.add(slot, row_at[: z - a], dtype=np.intp)
+            counts = np.bincount(at.ravel(), minlength=(z - a) * (slots + 1))
+            np.cumsum(counts.reshape(z - a, slots + 1), axis=1,
+                      dtype=self.base_dir.dtype, out=self.base_dir[a:z])
         # One overlay buffer per probe stage, and the rows each one holds.
         self._ov_buf = [np.empty((3, 0), dtype=np.int64) for _ in range(2)]
         self._ov_rows = [0, 0]
@@ -282,31 +315,16 @@ class LshIndex:
             self._ov_rows[s] += len(tables[part])
 
     def _bounds(self, qsig: np.ndarray, t0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Range [lo, hi) of the keys of prefix qsig[l] >> s in row t0 + l of base_key.
+        """Range [lo, hi) of base_ids[t0 + j] holding the slot of qsig[j].
 
-        Equal to per-row np.searchsorted of the decoded prefixes (key >> b)
-        on both sides.  One branchless lower-bound search runs over
-        2 len(qsig) uint64 keys, which cannot overflow: (qsig >> s) << b for
-        the left side and ((qsig >> s) + 1) << b for the right one.
+        Two indexed reads of the directory: the offsets of the slot and of
+        the one after it.
         """
-        L, n = len(qsig), self.n
-        flat = self.base_key[t0 : t0 + L].ravel()
-        keys = np.concatenate([qsig, qsig]).astype(np.uint64)
-        keys >>= self._sig_drop
-        keys[L:] += np.uint64(1)
-        keys <<= self._id_bits
-        # pos is the flat offset of the search window's start in each row.
-        row0 = np.arange(L, dtype=np.int64) * n
-        row0 = np.concatenate([row0, row0])  # np.tile costs more per call
-        pos = row0.copy()
-        size = n
-        while size > 1:
-            half = size >> 1
-            pos += (flat[pos + half] < keys) * half
-            size -= half
-        pos += flat[pos] < keys
-        pos -= row0
-        return pos[:L], pos[L:]
+        d = self.base_dir.shape[1]
+        at = np.arange(t0 * d, (t0 + len(qsig)) * d, d)
+        at += (qsig >> (self.params.k_bits - self._slot_bits)).astype(np.intp)
+        flat = self.base_dir.ravel()
+        return flat[at].astype(np.int64), flat[at + 1].astype(np.int64)
 
     def _gather(self, qsig: np.ndarray, t0: int, seen: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +332,13 @@ class LshIndex:
 
         The tables [t0, t0 + len(qsig)) are one whole probe stage, so every
         row of that stage's overlay buffer lies in range.  Table t
-        contributes the ids (key & mask) of its base range for the prefix
-        qsig[j] >> s, in ascending id order, then its overlay rows with
-        signature qsig[j] in append order.  An id whose current signature in
-        its table is not qsig[j] (stale, or with s > 0 a base member that
-        only shares the prefix) is dropped, as is an id marked in the
-        boolean mask seen; of the rest only each id's first occurrence is
-        kept.  Returns (tables, ids), grouped by ascending table.
+        contributes the base ids of the directory slot of qsig[j], in
+        ascending id order, then its overlay rows with signature qsig[j] in
+        append order.  An id whose current signature in its table is not
+        qsig[j] (stale, or a base member that shares only the slot's top
+        bits) is dropped, as is an id marked in the boolean mask seen; of
+        the rest only each id's first occurrence is kept.  Returns (tables,
+        ids), grouped by ascending table.
         """
         n = self.n
         t1 = t0 + len(qsig)
@@ -329,10 +347,9 @@ class LshIndex:
         counts = hi - lo
         tables = np.arange(t0, t1, dtype=np.int64)
         tab = np.repeat(tables, counts)
-        # Flat base_key offset of each member: row start + lo + rank in range.
+        # Flat base_ids offset of each member: row start + lo + rank in range.
         start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
-        ids = self.base_key.ravel()[start + np.arange(len(tab))]
-        ids = (ids & ((1 << self._id_bits) - 1)).astype(np.int64)
+        ids = self.base_ids.ravel()[start + np.arange(len(tab))].astype(np.int64)
         ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
         ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0] - t0])]
         if len(ov):
@@ -341,7 +358,7 @@ class LshIndex:
             tab = np.concatenate([tab, ov[:, 0]])
             order = np.argsort(tab, kind="stable")
             tab, ids = tab[order], np.concatenate([ids, ov[:, 2]])[order]
-        fresh = self.cur_sig[tab, ids].astype(np.int64) == key[tab - t0]
+        fresh = self.cur_sig[tab, ids] == qsig[tab - t0]
         fresh &= ~seen[ids]
         tab, ids = tab[fresh], ids[fresh]
         rank = np.arange(len(ids))
@@ -394,7 +411,11 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     best candidate seen so far is returned) or after examining 10 * L
     candidates.  The first _HEAD_TABLES tables are hashed and gathered
     first, the others only if scoring the head did not stop; the result is
-    the same as for one probe over all tables.
+    the same as for one probe over all tables.  A stage's candidates are
+    scored in one pass, one product per row; the scan stops at the end of
+    the table holding the first row that reaches c * tau or the cap, and
+    the best is the first candidate, in probe order, of the largest value
+    up to there.
     """
     q = as_vector(q, dim=index.dim)
     LshIndex._check_unit(q[np.newaxis, :])
@@ -407,30 +428,33 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    stop = False
     seen = np.zeros(index.n, dtype=bool)
     for t0, t1 in ((0, min(L, _HEAD_TABLES)), (_HEAD_TABLES, L)):
-        if stop or t0 >= t1:
+        if t0 >= t1:
             break
         hashed = t1
         qsig = index.hash_points(q[np.newaxis, :], t0, t1)[:, 0]
         tab, ids = index._gather(qsig, t0, seen)
+        if not len(ids):
+            continue
         seen[ids] = True
-        block = index.stored[ids]
-        # One GEMV per table: BLAS may round a row differently in a larger batch.
-        cuts = (np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist()
-        for a, b in zip([0] + cuts, cuts + [len(ids)]):
-            if a == b:  # nothing gathered: the one range is (0, 0)
-                break
-            vals = block[a:b] @ q
-            j = int(vals.argmax())
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best_idx = int(ids[a + j])
-            examined += b - a
-            stop = best_val >= threshold or examined >= cap
-            if stop:
-                break
+        # One product per row: a value does not depend on its row's batch.
+        vals = np.einsum("ij,j->i", index.stored[ids], q)
+        # The scan stops in the table of the first row that reaches c * tau
+        # (earlier stages stayed below it) or whose count reaches the cap,
+        # whichever comes first.
+        hit = vals >= threshold
+        r = int(hit.argmax()) if hit.any() else len(ids)
+        r = min(r, max(cap - examined - 1, 0))
+        stop = r < len(ids)
+        end = int(tab.searchsorted(tab[r], "right")) if stop else len(ids)
+        j = int(vals[:end].argmax())
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_idx = int(ids[j])
+        examined += end
+        if stop:
+            break
 
     if best_idx >= 0 and best_val >= threshold:
         return MaxIpResult(found=True, index=best_idx, value=best_val,

@@ -29,6 +29,7 @@ from sketchmatch.core import (
     save_csv,
     save_jsonl,
     transform_data,
+    transform_data_rows,
     transform_query,
 )
 
@@ -141,6 +142,23 @@ class TestPaddingIdentity:
             transform_data([1.1, 0.0])
         with pytest.raises(NormBoundError):
             transform_query([2.0, 0.0], scale=1.0)
+
+    def test_rows_equal_transform_data_bitwise(self):
+        """Each row's embedding equals that row's alone, for odd and even
+        widths, and a row over 1 is rejected as a lone point is."""
+        rng = np.random.default_rng(13)
+        for n, d in [(1, 1), (7, 32), (40, 33), (9, 128)]:
+            b = _ball(rng, n, d)
+            b[0] /= np.linalg.norm(b[0])
+            np.testing.assert_array_equal(
+                transform_data_rows(b), np.stack([transform_data(r) for r in b]))
+        b = _ball(rng, 5, 4)
+        b[3] = [1.1, 0.0, 0.0, 0.0]
+        with pytest.raises(NormBoundError) as want:
+            transform_data(b[3])
+        with pytest.raises(NormBoundError) as got:
+            transform_data_rows(b)
+        assert str(got.value) == str(want.value)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ParameterError):

@@ -215,6 +215,36 @@ class TestQueries:
                 found += 1
         assert found >= math.ceil((1 - 2 * delta) * trials)
 
+    def test_value_is_the_product_of_the_point_alone(self):
+        """value equals the per-row product of the returned point computed
+        alone, however many candidates were scored next to it."""
+        rng = np.random.default_rng(6)
+        centres = _unit_rows(rng, 4, 131)
+        x = centres[np.arange(200) % 4] + 0.05 * rng.standard_normal((200, 131))
+        idx = maxip_init(x / np.linalg.norm(x, axis=1, keepdims=True),
+                         c=0.8, tau=0.5, delta=0.1, seed=6)
+        crowded = 0
+        for k in range(30):
+            q = idx.stored[k] + 0.5 * _unit_rows(rng, 1, 131)[0]
+            q /= np.linalg.norm(q)
+            r = maxip_query(idx, q)
+            assert r.found
+            assert r.value == np.einsum("ij,j->i", idx.stored[[r.index]], q)[0]
+            crowded += r.examined > 1
+        assert crowded >= 10
+
+    def test_ties_go_to_the_first_candidate(self):
+        """Of equal values the first candidate in probe order wins: of three
+        copies of one point, the lowest id, which their slot lists first."""
+        rng = np.random.default_rng(7)
+        pts = _unit_rows(rng, 40, 16)
+        pts[[30, 9]] = pts[21]
+        idx = maxip_init(pts, c=0.8, tau=0.9, delta=0.1, seed=7)
+        for _ in range(5):
+            q = pts[21] + 0.1 * _unit_rows(rng, 1, 16)[0]
+            r = maxip_query(idx, q / np.linalg.norm(q))
+            assert r.found and r.index == 9
+
     def test_non_unit_inputs_rejected(self):
         rng = np.random.default_rng(4)
         pts = _unit_rows(rng, 10, 8)
@@ -336,18 +366,17 @@ class TestSignatureBookkeeping:
             maxip_update(idx, 0, np.zeros(idx.dim))
 
 
-def _decode(index, keys):
-    """(signature prefix, id) of packed base keys: key >> b and key & mask."""
-    b = index._id_bits
-    return keys >> b, keys & ((1 << b) - 1)
+def _slots(index, sig):
+    """Directory slots of signatures: their top B bits."""
+    return sig >> index.sig_dtype(index.params.k_bits - index._slot_bits)
 
 
 def _reference_candidates(index, qsig):
     """(table, new candidate ids) per table, from a per-table Python loop.
 
-    Bucket bounds come from per-row np.searchsorted of the decoded base
-    prefixes and overlay members from a scan of index.overlay's rows in
-    append order; tables without a new candidate are left out.
+    Base members are read from the directory slot of qsig[t] and overlay
+    members from a scan of index.overlay's rows in append order; tables
+    without a new candidate are left out.
     """
     overlay: dict[int, list[int]] = {}
     for t, s, i in index.overlay.tolist():
@@ -355,13 +384,11 @@ def _reference_candidates(index, qsig):
             overlay.setdefault(t, []).append(i)
     seen: set[int] = set()
     out = []
-    for t, (keys, sig_t) in enumerate(zip(index.base_key, qsig)):
-        prefix, base_ids = _decode(index, keys)
-        p = int(sig_t) >> index._sig_drop
-        lo = int(np.searchsorted(prefix, p, side="left"))
-        hi = int(np.searchsorted(prefix, p, side="right"))
+    for t, sig_t in enumerate(qsig):
+        v = int(_slots(index, sig_t))
+        lo, hi = index.base_dir[t, v], index.base_dir[t, v + 1]
         cand = []
-        for i in base_ids[lo:hi].tolist() + overlay.get(t, []):
+        for i in index.base_ids[t, lo:hi].tolist() + overlay.get(t, []):
             if index.cur_sig[t, i] == sig_t and i not in seen:
                 seen.add(i)
                 cand.append(i)
@@ -390,7 +417,7 @@ def _gather_all(index, qsig):
 
 
 def _reference_query(index, q, cap=None):
-    """maxip_query as the former per-table Python loop."""
+    """maxip_query as the former per-table Python loop, one product per row."""
     q = as_vector(q, dim=index.dim)
     LshIndex._check_unit(q[np.newaxis, :])
     params = index.params
@@ -402,7 +429,7 @@ def _reference_query(index, q, cap=None):
     best_idx = -1
     examined = 0
     for _, cand in _reference_candidates(index, index._hash_one(q)):
-        vals = index.stored[cand] @ q
+        vals = np.einsum("ij,j->i", index.stored[cand], q)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])
@@ -445,7 +472,7 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
             tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
-            for cap in (None, 3):
+            for cap in (None, 3, 0):
                 got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
                 _assert_same_result(got, want)
                 found += got.found
@@ -462,8 +489,8 @@ class TestQueryMatchesReference:
 
         Queries near a stored point exit early on a Found; random queries
         mostly miss after scanning every table; a small cap stops the scan
-        by count.  With _REBUILD_FACTOR=1 the overlay is folded into the base
-        every few updates.
+        by count, and cap 0 after the first table.  With _REBUILD_FACTOR=1
+        the overlay is folded into the base every few updates.
         """
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(700 + seed)
@@ -685,11 +712,28 @@ class TestHashing:
         idx = m.index
         assert (idx.params.n_tables, idx.params.k_bits) == shape
         np.testing.assert_array_equal(idx.cur_sig, _shift_loop_hash(idx, idx.stored))
-        # The base is one uint32 key per (table, point), which sets the
-        # benchmark's index_bytes.
-        assert idx.base_key.dtype == np.uint32
-        assert idx.base_key.nbytes == shape[0] * n * 4
-        assert not hasattr(idx, "base_sig") and not hasattr(idx, "base_order")
+        # The base is one uint8 id per (table, point) and 2^B + 1 offsets per
+        # table, uint16 when they reach 256; the two set the benchmark's
+        # index_bytes.
+        L, B = shape[0], idx._slot_bits
+        assert B == (n - 1).bit_length() < shape[1]
+        assert idx.base_ids.shape == (L, n) and idx.base_ids.dtype == np.uint8
+        assert idx.base_dir.shape == (L, (1 << B) + 1)
+        assert idx.base_dir.dtype == (np.uint16 if n == 256 else np.uint8)
+        assert idx.base_ids.nbytes + idx.base_dir.nbytes == {
+            256: 1_392_930, 96: 120_150}[n]
+        assert not hasattr(idx, "base_key") and not hasattr(idx, "base_order")
+
+
+def _assert_bounds_searchsorted(idx, qsig):
+    """_bounds agrees with per-row np.searchsorted of the sorted slots."""
+    lo, hi = idx._bounds(qsig)
+    prefix = np.sort(_slots(idx, idx.cur_sig), axis=1)
+    for t in range(idx.params.n_tables):
+        v = _slots(idx, qsig[t])
+        assert lo[t] == np.searchsorted(prefix[t], v, side="left")
+        assert hi[t] == np.searchsorted(prefix[t], v, side="right")
+    return lo, hi
 
 
 class TestBounds:
@@ -698,80 +742,96 @@ class TestBounds:
     def test_bounds_equal_per_row_searchsorted(self, n, dtype):
         """Both sides agree with np.searchsorted below, above and at duplicates.
 
-        Row prefixes are drawn from a few values, the top one the largest
-        prefix a key of the dtype can hold next to the b id bits, so most
-        keys hit runs of equal prefixes; each row packs a permutation of the
-        ids below them and is sorted by key.
+        Signatures are drawn from a few values, among them 0 and the
+        all-ones signature, so most slots hold runs of points and many are
+        empty; the directory is rebuilt from them.  For uint64 the index has
+        K > 32 (at n = 1, K = 1, so there the memo is recast to uint64).
         """
         rng = np.random.default_rng(n)
-        idx = maxip_init(_unit_rows(rng, n, 6), c=0.5, tau=0.5, delta=0.2, seed=n)
-        L, b = idx.params.n_tables, idx._id_bits
-        top = (1 << (32 - b)) - 1 if dtype == np.uint32 else (1 << (63 - b)) - 1
-        values = np.array([3, 4, 9, top - 1, top], dtype=dtype)
-        ids = np.argsort(rng.random((L, n)), axis=1).astype(dtype)
-        prefixes = values[rng.integers(0, 5, size=(L, n))]
-        idx.base_key = np.sort(prefixes << dtype(b) | ids, axis=1)
-        keys = np.array([0, 2, 3, 4, 5, 9, 10, top - 2, top - 1, top], dtype=dtype)
+        ctau = 0.5 if dtype == np.uint32 else 0.99
+        idx = maxip_init(_unit_rows(rng, n, 6), c=ctau, tau=ctau, delta=0.2, seed=n)
+        L, K = idx.params.n_tables, idx.params.k_bits
+        assert (K > 32) == (dtype == np.uint64) or n == 1
+        top = (1 << K) - 1
+        values = np.array([v & top for v in (3, 4, 9, top - 1, top)], dtype=dtype)
+        idx.cur_sig = values[rng.integers(0, 5, size=(L, n))]
+        idx._consolidate()
+        _assert_directory(idx)
+        keys = np.array([k & top for k in (0, 2, 3, 4, 5, 9, 10, top - 2,
+                                           top - 1, top)], dtype=dtype)
         for qsig in [np.full(L, k, dtype=dtype) for k in keys] + [
             keys[rng.integers(0, len(keys), size=L)] for _ in range(20)
         ]:
-            lo, hi = idx._bounds(qsig)
-            for t in range(L):
-                row = _decode(idx, idx.base_key[t])[0]
-                assert lo[t] == np.searchsorted(row, qsig[t], side="left")
-                assert hi[t] == np.searchsorted(row, qsig[t], side="right")
+            _assert_bounds_searchsorted(idx, qsig)
+        _, hi = idx._bounds(np.full(L, top, dtype=dtype))
+        assert np.all(hi == n)
 
 
 def _packed_index(rng, layout):
-    """An index whose base keys are uint32, uint64, or uint64 with a
-    truncated signature prefix (n=64 at c = tau = 0.99: K=62, b=6, s=5).
+    """An index with uint32 signatures, uint64 ones, or uint64 ones of
+    clustered points (n=64 at c = tau = 0.99: K=62, b=B=6).
 
-    The truncated index's points lie in tight clusters, so in many tables
-    some points share a base prefix but not a full signature.
+    The clustered index's points lie in tight clusters, so in many tables
+    some points share a slot but not a full signature.
     """
     if layout == "uint32":
         idx = maxip_init(_unit_rows(rng, 60, 12), c=0.9, tau=0.8, delta=0.2, seed=0)
-        shape = (15, 6, 0)
+        shape = (15, 6, 6)
     elif layout == "uint64":
         idx = maxip_init(_unit_rows(rng, 150, 12), c=0.95, tau=0.95, delta=0.2,
                          seed=3)
-        shape = (33, 8, 0)
+        shape = (33, 8, 8)
     else:
         centres = _unit_rows(rng, 8, 12)
         x = centres[np.arange(64) % 8] + 0.02 * rng.standard_normal((64, 12))
         idx = maxip_init(x / np.linalg.norm(x, axis=1, keepdims=True),
                          c=0.99, tau=0.99, delta=0.1, seed=7)
-        shape = (62, 6, 5)
+        shape = (62, 6, 6)
         assert idx.params.n_tables == 41
-    assert (idx.params.k_bits, idx._id_bits, idx._sig_drop) == shape
-    K, b = shape[:2]
-    assert idx.base_key.dtype == (np.uint32 if K + b <= 32 else np.uint64)
+    assert (idx.params.k_bits, idx._id_bits, idx._slot_bits) == shape
+    assert idx.sig_dtype == (np.uint32 if shape[0] <= 32 else np.uint64)
+    assert idx.base_ids.dtype == idx.base_dir.dtype == np.uint8
     return idx
 
 
-def _assert_sorted_as_stable_argsort(idx):
-    """Each table decodes to the stable-argsort order of its prefixes."""
-    prefix = idx.cur_sig >> idx.sig_dtype(idx._sig_drop)
-    order = np.argsort(prefix, axis=1, kind="stable")
-    got_prefix, got_ids = _decode(idx, idx.base_key)
-    np.testing.assert_array_equal(got_ids, order)
-    np.testing.assert_array_equal(got_prefix, np.take_along_axis(prefix, order, axis=1))
-    assert int(idx.base_key.max()) < 1 << 63
+def _assert_directory(idx):
+    """Each table's ids are the stable argsort of its slots, offsets 0 to n.
+
+    Holds right after a build or consolidation, when the directory was
+    made from the current signatures: within a slot the ids ascend, and
+    slot v of table t is base_ids[t, dir[t, v] : dir[t, v + 1]].
+    """
+    n = idx.n
+    slots = _slots(idx, idx.cur_sig)
+    ids = idx.base_ids.astype(np.int64)
+    np.testing.assert_array_equal(ids, np.argsort(slots, axis=1, kind="stable"))
+    held = np.take_along_axis(slots, ids, axis=1)
+    same = held[:, 1:] == held[:, :-1]
+    assert np.all(held[:, 1:] >= held[:, :-1])
+    assert np.all(ids[:, 1:][same] > ids[:, :-1][same])
+    offsets = idx.base_dir.astype(np.int64)
+    assert np.all(offsets[:, 0] == 0) and np.all(offsets[:, -1] == n)
+    everything = np.arange(1 << idx._slot_bits)
+    for t in range(idx.params.n_tables):
+        np.testing.assert_array_equal(offsets[t, :-1],
+                                      np.searchsorted(held[t], everything))
 
 
 class TestPackedKey:
+    """The directory build sorts packed keys slot << b | id per table."""
+
     @pytest.mark.parametrize("layout", ["uint32", "uint64", "truncated"])
     def test_sorted_as_stable_argsort(self, layout, monkeypatch):
-        """After the build and after every consolidation, key order is the
-        stable argsort of the (truncated) signatures, ids packed below them."""
+        """After the build and after every consolidation, each table's ids
+        are the stable argsort of its slots, and its offsets bound them."""
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(740)
         idx = _packed_index(rng, layout)
-        _assert_sorted_as_stable_argsort(idx)
+        _assert_directory(idx)
         if layout == "truncated":
-            # Some base prefix is shared by points whose signatures differ.
-            prefix = idx.cur_sig >> np.uint64(idx._sig_drop)
-            assert any(len(np.unique(prefix[t])) < len(np.unique(idx.cur_sig[t]))
+            # Some slot is shared by points whose signatures differ.
+            slots = _slots(idx, idx.cur_sig)
+            assert any(len(np.unique(slots[t])) < len(np.unique(idx.cur_sig[t]))
                        for t in range(idx.params.n_tables))
         folds = 0
         for _ in range(40):
@@ -781,12 +841,12 @@ class TestPackedKey:
             maxip_update(idx, i, z / np.linalg.norm(z))
             if len(idx.overlay) < appends:
                 folds += 1
-                _assert_sorted_as_stable_argsort(idx)
+                _assert_directory(idx)
         assert folds >= 2
 
     @pytest.mark.parametrize("factor", [128, 1])
     def test_truncated_prefix_matches_reference(self, factor, monkeypatch):
-        """With s > 0 a base range holds every point of the query's prefix;
+        """With K > B a slot holds every point of the query's top B bits;
         the freshness filter keeps exactly the members of its full
         signature, so gathers and results equal the reference's."""
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
@@ -795,25 +855,26 @@ class TestPackedKey:
         _compare_over_update_sequence(idx, rng, factor, move=0.02, near=0.02)
 
     def test_bounds_at_32_bits_with_all_ones_signature(self):
-        """At K + b = 32 the right key of the all-ones signature is 2^32,
-        one past the largest uint32 key, and must not wrap."""
+        """At B + b = 32 (n = 2^15 + 1) the all-ones slot's key for the last
+        id fills the uint32 build key without wrapping; the directory holds
+        2^16 + 1 offsets per table, and the all-ones slot ends at n."""
         rng = np.random.default_rng(742)
-        idx = maxip_init(_unit_rows(rng, 256, 8), c=0.8, tau=0.98, delta=0.2, seed=1)
-        L, n, K = idx.params.n_tables, idx.n, idx.params.k_bits
-        assert K + idx._id_bits == 32 and idx.base_key.dtype == np.uint32
+        n = (1 << 15) + 1
+        idx = maxip_init(_unit_rows(rng, n, 8), c=0.8, tau=0.98, delta=0.2, seed=1)
+        L, K = idx.params.n_tables, idx.params.k_bits
+        assert idx._slot_bits + idx._id_bits == 32 and idx.sig_dtype == np.uint64
+        assert idx.base_dir.shape == (L, (1 << 16) + 1)
+        assert idx.base_ids.dtype == idx.base_dir.dtype == np.uint16
         top = (1 << K) - 1
-        idx.cur_sig[:, [3, 100, 255]] = top
+        idx.cur_sig[:, [3, 100, n - 1]] = top
         idx._consolidate()
-        assert int(idx.base_key.max()) == (1 << 32) - 1
-        for qsig in (np.full(L, top, dtype=np.uint32),
-                     np.full(L, top - 1, dtype=np.uint32), idx.cur_sig[:, 7].copy()):
-            lo, hi = idx._bounds(qsig)
-            for t in range(L):
-                row = _decode(idx, idx.base_key[t])[0]
-                assert lo[t] == np.searchsorted(row, qsig[t], side="left")
-                assert hi[t] == np.searchsorted(row, qsig[t], side="right")
-        lo, hi = idx._bounds(np.full(L, top, dtype=np.uint32))
+        _assert_directory(idx)
+        for qsig in (np.full(L, top, dtype=np.uint64),
+                     np.full(L, top - 1, dtype=np.uint64), idx.cur_sig[:, 7].copy()):
+            _assert_bounds_searchsorted(idx, qsig)
+        lo, hi = idx._bounds(np.full(L, top, dtype=np.uint64))
         assert np.all(hi == n) and np.all(lo <= n - 3)
+        assert np.all(idx.base_ids[:, -1] == n - 1)
 
 
 class TestDeterminism:
