@@ -29,6 +29,7 @@ from .maxip import (
     MaxIpResult,
     maxip_exponent,
     maxip_init,
+    maxip_lower,
     maxip_query,
     maxip_update,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "MaxIpResult",
     "maxip_exponent",
     "maxip_init",
+    "maxip_lower",
     "maxip_query",
     "maxip_update",
     "MATCHER_KINDS",

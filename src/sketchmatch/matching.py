@@ -21,8 +21,10 @@ hashed Max-IP search over increment-augmented vectors
 (FasterInnerProductMatching).  The last one hashes X_i = (x_i, w_i) against
 Y = (y, -1) so that <X_i, Y> is exactly the increment; both sides are scaled
 into the unit ball (data by sqrt(2) D, query by sqrt(2)), which turns an
-increment threshold tau into a transformed-space threshold tau / (2 D).  It
-also re-hashes X_i whenever an arrival raises w_i.
+increment threshold tau into a transformed-space threshold tau / (2 D).
+When an arrival raises w_i, the index's row for X_i is replaced and its
+signatures are kept: a larger w_i only lowers <X_i, Y> for every arrival to
+come, so the signatures hashed at w_i = 0 keep the search's recall at tau.
 
 Per-offline value floors at zero: an assignment with negative weight never
 counts against the matching, mirroring the option to leave a point unmatched.
@@ -253,7 +255,9 @@ class FasterInnerProductMatching(_MatcherBase):
     index whose exact recomputed increment is at least (1 - eps) tau; on
     Fail a uniformly random index is taken.  Either way the estimate is the
     exact weight at the chosen index, so a positive gain is the true
-    increment; accepting it re-hashes the augmented point with the new w_i.
+    increment.  Accepting it replaces the augmented point with the new w_i
+    through maxip_lower, which keeps the point's signatures, so the index is
+    hashed once, at build.
     """
 
     kind = "FasterInnerProductMatching"
@@ -291,7 +295,7 @@ class FasterInnerProductMatching(_MatcherBase):
         return i0, float(self.offline.points[i0] @ y)
 
     def _accept(self, i0: int) -> None:
-        maxip.maxip_update(
+        maxip.maxip_lower(
             self.index, i0,
             transform_data(self._augment(self.offline.points[i0],
                                          self.state.accumulated[i0])))

@@ -26,22 +26,24 @@ of table t is base_ids[t, base_dir[t, v] : base_dir[t, v + 1]].  B = min(K,
 b), where b is the bit length of n - 1, so a table has fewer than 2n
 slots; both arrays use the smallest unsigned dtype that holds their
 values.  A probe stage's bucket bounds are two indexed reads of the
-directory.  Updates go to an overlay of rows (table, signature, id), kept in
-one append buffer per probe stage, tables [0, _HEAD_TABLES) and
-[_HEAD_TABLES, L), so each row is stored once.  A query probes in two
-stages: it hashes, bounds and gathers the head tables first, in whole-array
-steps, scanning only the head stage's buffer, and scores the gathered
-candidates in one pass; it does the same for the other tables and the tail
-buffer only when the head neither reaches c * tau nor the candidate cap.  A
-mask of the ids already gathered carries across the stages, so the result
-equals that of one probe over all L tables.  Stale entries, and base
-members whose signature shares only the slot's top B bits with the
-query's, are filtered against the authoritative per-point signature memo.
-The directory is rebuilt in place once the overlay grows past
-_REBUILD_FACTOR updates' worth of entries (L rows each).  The hyperplanes
-are stored column-major, which suits the GEMV that hashes one vector.
-Theoretical query/space exponents for other constructions are exposed
-through maxip_exponent.
+directory.  The sorted array moved holds the distinct ids whose signatures
+changed since the directory was built; after each table's base range a
+query gathers the moved ids whose current signature there is the query's.
+A query probes in two stages: it hashes, bounds and gathers the head tables
+[0, _HEAD_TABLES) first, in whole-array steps, and scores the gathered
+candidates in one pass; it does the same for the other tables only when the
+head neither reaches c * tau nor the candidate cap.  A mask of the ids
+already gathered carries across the stages, so the result equals that of
+one probe over all L tables.  Stale base entries, and base members whose
+signature shares only the slot's top B bits with the query's, are filtered
+against the authoritative per-point signature memo cur_sig.  maxip_update
+rehashes the point it replaces, and the directory is rebuilt in place once
+more than _REBUILD_FACTOR ids have moved.  maxip_lower replaces a point and
+keeps its signatures, for a point whose inner product with every query to
+come can only fall; the hashed matcher's updates are of that kind, so it
+never rehashes.  The hyperplanes are stored column-major, which suits the
+GEMV that hashes one vector.  Theoretical query/space exponents for other
+constructions are exposed through maxip_exponent.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ _CHUNK_BUDGET = 1 << 24
 # Tables in a query's first probe stage; the rest are probed only when these
 # give no answer.
 _HEAD_TABLES = 128
-# The base is re-sorted once the overlay holds more than _REBUILD_FACTOR * L
-# rows.
+# The directory is rebuilt once more than _REBUILD_FACTOR ids have moved.
 _REBUILD_FACTOR = 64
 # A directory build takes tables in blocks whose intp temporaries hold about
 # this many elements (one table at least).
@@ -91,25 +92,6 @@ def maxip_exponent(c: float, tau: float, regime: str = "time") -> float:
         r = (1.0 - tau) / (1.0 - c * tau)
         return 2.0 * r**2 - r**4
     raise ParameterError(f"unknown regime {regime!r}")
-
-
-def _append_rows(buf: np.ndarray, used: int, tables: np.ndarray,
-                 sigs: np.ndarray, i: int) -> np.ndarray:
-    """Write rows (tables[j], sigs[j], i) after the first `used` columns.
-
-    buf is a (3, capacity) int64 buffer of rows stored column by column; it
-    doubles when full, and the buffer holding the rows is returned.
-    """
-    k1 = used + len(tables)
-    if k1 > buf.shape[1]:
-        grown = np.empty((3, max(k1, 2 * buf.shape[1])), dtype=np.int64)
-        grown[:, :used] = buf[:, :used]
-        buf = grown
-    cols = buf[:, used:k1]
-    cols[0] = tables
-    cols[1] = sigs
-    cols[2] = i
-    return buf
 
 
 @dataclass(frozen=True)
@@ -223,22 +205,14 @@ class LshIndex:
     def n(self) -> int:
         return self.stored.shape[0]
 
-    @property
-    def overlay(self) -> np.ndarray:
-        """Rows (table, signature, id) appended since the last re-sort.
-
-        A (k, 3) array built from the stage buffers when asked for: the head
-        stage's rows, then the tail stage's, each in append order.
-        """
-        return np.concatenate([self._stage_overlay(0), self._stage_overlay(1)])
-
-    def _stage_overlay(self, s: int) -> np.ndarray:
-        """Overlay rows of probe stage s (0: head, 1: tail) as a (k, 3) view.
-
-        The buffer is column-major, so each column a query scans is
-        contiguous.
-        """
-        return self._ov_buf[s][:, : self._ov_rows[s]].T
+    def _replace(self, i: int, point) -> np.ndarray:
+        """Check point i's new vector and write it to stored; returns it."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"index {i} out of range")
+        z = as_vector(point, dim=self.dim)
+        self._check_unit(z[np.newaxis, :])
+        self.stored[i] = z
+        return z
 
     # -- hashing ------------------------------------------------------------
 
@@ -272,7 +246,7 @@ class LshIndex:
     # -- bucket bookkeeping ---------------------------------------------------
 
     def _consolidate(self) -> None:
-        """Rebuild every table's directory from cur_sig; the overlay empties.
+        """Rebuild every table's directory from cur_sig; moved empties.
 
         Tables are done in blocks of about _BUILD_BUDGET points or slots, so
         no temporary grows with L.  A block packs keys slot << b | id, sorts
@@ -302,17 +276,8 @@ class LshIndex:
             counts = np.bincount(at.ravel(), minlength=(z - a) * (slots + 1))
             np.cumsum(counts.reshape(z - a, slots + 1), axis=1,
                       dtype=self.base_dir.dtype, out=self.base_dir[a:z])
-        # One overlay buffer per probe stage, and the rows each one holds.
-        self._ov_buf = [np.empty((3, 0), dtype=np.int64) for _ in range(2)]
-        self._ov_rows = [0, 0]
-
-    def _append_overlay(self, tables: np.ndarray, sigs: np.ndarray, i: int) -> None:
-        """Append rows (tables[j], sigs[j], i); tables must be ascending."""
-        h = int(np.searchsorted(tables, _HEAD_TABLES))
-        for s, part in enumerate((slice(None, h), slice(h, None))):
-            self._ov_buf[s] = _append_rows(self._ov_buf[s], self._ov_rows[s],
-                                           tables[part], sigs[part], i)
-            self._ov_rows[s] += len(tables[part])
+        # Sorted distinct ids whose signatures changed since this build.
+        self.moved = np.empty(0, dtype=np.int64)
 
     def _bounds(self, qsig: np.ndarray, t0: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Range [lo, hi) of base_ids[t0 + j] holding the slot of qsig[j].
@@ -330,34 +295,30 @@ class LshIndex:
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Members of bucket qsig[j] in table t = t0 + j, in probe order.
 
-        The tables [t0, t0 + len(qsig)) are one whole probe stage, so every
-        row of that stage's overlay buffer lies in range.  Table t
-        contributes the base ids of the directory slot of qsig[j], in
-        ascending id order, then its overlay rows with signature qsig[j] in
-        append order.  An id whose current signature in its table is not
-        qsig[j] (stale, or a base member that shares only the slot's top
-        bits) is dropped, as is an id marked in the boolean mask seen; of
-        the rest only each id's first occurrence is kept.  Returns (tables,
-        ids), grouped by ascending table.
+        Table t contributes the base ids of the directory slot of qsig[j],
+        in ascending id order, then the moved ids whose current signature
+        in t is qsig[j], in ascending order.  An id whose current signature
+        in its table is not qsig[j] (stale, or a base member that shares
+        only the slot's top bits) is dropped, as is an id marked in the
+        boolean mask seen; of the rest only each id's first occurrence is
+        kept.  Returns (tables, ids), grouped by ascending table.
         """
         n = self.n
         t1 = t0 + len(qsig)
         lo, hi = self._bounds(qsig, t0)
-        key = qsig.astype(np.int64)
         counts = hi - lo
         tables = np.arange(t0, t1, dtype=np.int64)
         tab = np.repeat(tables, counts)
         # Flat base_ids offset of each member: row start + lo + rank in range.
         start = np.repeat(tables * n + lo - (np.cumsum(counts) - counts), counts)
         ids = self.base_ids.ravel()[start + np.arange(len(tab))].astype(np.int64)
-        ov = self._stage_overlay(int(t0 >= _HEAD_TABLES))
-        ov = ov[np.flatnonzero(ov[:, 1] == key[ov[:, 0] - t0])]
-        if len(ov):
-            # tab is sorted, so a stable sort by table puts each table's
-            # overlay members after its base range, in append order.
-            tab = np.concatenate([tab, ov[:, 0]])
+        if len(self.moved):
+            # nonzero lists the matches table by table, ids ascending; tab is
+            # sorted, so a stable sort by table puts them after the base range.
+            t, j = np.nonzero(self.cur_sig[t0:t1, self.moved] == qsig[:, np.newaxis])
+            tab = np.concatenate([tab, t + t0])
             order = np.argsort(tab, kind="stable")
-            tab, ids = tab[order], np.concatenate([ids, ov[:, 2]])[order]
+            tab, ids = tab[order], np.concatenate([ids, self.moved[j]])[order]
         fresh = self.cur_sig[tab, ids] == qsig[tab - t0]
         fresh &= ~seen[ids]
         tab, ids = tab[fresh], ids[fresh]
@@ -389,18 +350,35 @@ def maxip_init(
 
 
 def maxip_update(index: LshIndex, i: int, new_point) -> None:
-    """Replace point i; only tables whose signature changed are touched."""
-    if not 0 <= i < index.n:
-        raise IndexError(f"index {i} out of range")
-    z = as_vector(new_point, dim=index.dim)
-    LshIndex._check_unit(z[np.newaxis, :])
-    index.stored[i] = z
+    """Replace point i by any unit vector and rehash it.
+
+    If its signature changed in some table, cur_sig takes the new one and i
+    joins index.moved; the directory is rebuilt once more than
+    _REBUILD_FACTOR ids have moved.
+    """
+    z = index._replace(i, new_point)
     new_sig = index._hash_one(z)
-    changed = np.flatnonzero(new_sig != index.cur_sig[:, i])
+    if np.array_equal(new_sig, index.cur_sig[:, i]):
+        return
     index.cur_sig[:, i] = new_sig
-    index._append_overlay(changed, new_sig[changed], i)
-    if sum(index._ov_rows) > _REBUILD_FACTOR * index.params.n_tables:
+    index.moved = np.union1d(index.moved, [i])
+    if len(index.moved) > _REBUILD_FACTOR:
         index._consolidate()
+
+
+def maxip_lower(index: LshIndex, i: int, new_point) -> None:
+    """Replace point i by a unit vector and keep every signature it has.
+
+    Precondition: for every query q to come, <new_point, q> <= <old, q>,
+    where old is the vector it replaces.  Over a chain of such calls, a
+    query the current vector meets at tau meets the vector its signatures
+    were hashed from at tau too, and sign-hash collision is monotone in the
+    inner product, so the kept signatures keep the index's recall at tau;
+    candidates are always scored against the current vector.  The hashed
+    matcher's updates are of this kind: a weight that only grows lowers
+    every transformed inner product.
+    """
+    index._replace(i, new_point)
 
 
 def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:

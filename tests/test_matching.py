@@ -542,7 +542,8 @@ class TestFasterMatcher:
 class _ReferenceFaster(FasterInnerProductMatching):
     """The hashed matcher with its former dedicated update.
 
-    Kept as it was, except that it writes the arrival log.
+    Kept as it was, except that it writes the arrival log and replaces an
+    accepted point through maxip_lower.
     """
 
     def update(self, y) -> int:
@@ -561,7 +562,7 @@ class _ReferenceFaster(FasterInnerProductMatching):
         if z > 0.0:
             st.accumulated[i0] += z
             st.tracked_value += z
-            maxip.maxip_update(
+            maxip.maxip_lower(
                 self.index, i0,
                 transform_data(self._augment(self.offline.points[i0],
                                              st.accumulated[i0])))
@@ -578,17 +579,15 @@ def _clustered(rng, count, centres, spread=0.15):
 class TestHashedMatcherOnSharedSkeleton:
     @pytest.mark.parametrize("in_update_check", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference_update_bitwise(self, seed, in_update_check,
-                                              monkeypatch):
+    def test_matches_reference_update_bitwise(self, seed, in_update_check):
         """The shared update reproduces the former hashed update exactly.
 
         Clustered arrivals first find large increments, then mostly fall
-        back once their cluster's weights are filled; _REBUILD_FACTOR=1
-        makes the index consolidate every few rehashes.  With
-        in_update_check the reference also runs the former per-step check
-        inside each update, and flagged_steps must agree with it.
+        back once their cluster's weights are filled.  Neither matcher
+        rehashes a point, so both indexes keep the build's signatures.
+        With in_update_check the reference also runs the former per-step
+        check inside each update, and flagged_steps must agree with it.
         """
-        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(100 + seed)
         centres = _unit_ball(rng, 3, 8)
         centres /= np.linalg.norm(centres, axis=1, keepdims=True)
@@ -599,17 +598,16 @@ class TestHashedMatcherOnSharedSkeleton:
         ref = _ReferenceFaster(offline, **kw)
         if in_update_check:
             ref = _checked_run(ref)
-        found = fallback = consolidations = 0
+        built = ref.index.cur_sig.copy()
+        found = fallback = 0
         for y in arrivals:
             q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
             if maxip.maxip_query(ref.index, q).found:
                 found += 1
             else:
                 fallback += 1
-            appends = len(ref.index.overlay)
             assert match_update(new, y) == match_update(ref, y)
-            consolidations += len(ref.index.overlay) < appends
-        assert found and fallback and consolidations
+        assert found and fallback
         a, b = new.state, ref.state
         assert a.accumulated.tobytes() == b.accumulated.tobytes()
         assert type(a.tracked_value) is float and type(b.tracked_value) is float
@@ -622,8 +620,44 @@ class TestHashedMatcherOnSharedSkeleton:
         assert [v.tobytes() for v in a.arrivals] == [v.tobytes() for v in b.arrivals]
         assert new.index.cur_sig.dtype == ref.index.cur_sig.dtype
         assert new.index.cur_sig.tobytes() == ref.index.cur_sig.tobytes()
+        assert new.index.cur_sig.tobytes() == built.tobytes()
+        assert len(new.index.moved) == len(ref.index.moved) == 0
         assert new.index.stored.tobytes() == ref.index.stored.tobytes()
-        assert new.index.overlay.tobytes() == ref.index.overlay.tobytes()
+
+    def test_index_is_hashed_once(self, monkeypatch):
+        """After match_init the matcher hashes only its queries.
+
+        Each stored row is the augmented point at its accumulated weight,
+        bitwise, while the signatures stay the build's and no id moves.
+        """
+        rng = np.random.default_rng(110)
+        centres = _unit_ball(rng, 3, 8)
+        centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+        offline = PointSet(_clustered(rng, 24, centres))
+        m = FasterInnerProductMatching(offline, epsilon=0.2, tau=0.5,
+                                       delta=0.2, seed=3)
+        built = m.index.cur_sig.copy()
+        hashed = []
+        hash_points = maxip.LshIndex.hash_points
+
+        def spy(index, pts, *args):
+            hashed.append(np.array(pts))
+            return hash_points(index, pts, *args)
+
+        monkeypatch.setattr(maxip.LshIndex, "hash_points", spy)
+        for y in _clustered(rng, 120, centres):
+            q = transform_query(np.concatenate([y, [-1.0]]), scale=math.sqrt(2.0))
+            calls = len(hashed)
+            match_update(m, y)
+            assert len(hashed) > calls
+            for pts in hashed[calls:]:
+                assert pts.tobytes() == q[np.newaxis].tobytes()
+        st = m.state
+        assert np.count_nonzero(st.accumulated) >= 3
+        for x, w, row in zip(offline.points, st.accumulated, m.index.stored):
+            assert row.tobytes() == transform_data(m._augment(x, w)).tobytes()
+        assert m.index.cur_sig.tobytes() == built.tobytes()
+        assert len(m.index.moved) == 0
 
 
 def _loop_realized_value(state, weight_fn):

@@ -6,7 +6,8 @@ query in some table with high probability.  Exactness properties are
 absolute: any Found result carries an exactly recomputed inner product that
 meets the threshold, so false positives are impossible by construction and
 only misses are probabilistic.  Table signatures are memoized; the memo must
-agree bitwise with rehashing the stored points after any update sequence.
+agree bitwise with rehashing the stored points after any sequence of
+maxip_update calls, and maxip_lower leaves it as it was.
 """
 
 import math
@@ -26,6 +27,7 @@ from sketchmatch.maxip import (
     MaxIpResult,
     maxip_exponent,
     maxip_init,
+    maxip_lower,
     maxip_query,
     maxip_update,
 )
@@ -282,40 +284,43 @@ class TestSignatureBookkeeping:
 
     def test_update_to_identical_point_is_a_no_op(self):
         idx, _ = self._index()
-        appends_before = len(idx.overlay)
         sig_before = idx.cur_sig.copy()
         maxip_update(idx, 7, idx.stored[7].copy())
-        assert len(idx.overlay) == appends_before
+        assert len(idx.moved) == 0
         np.testing.assert_array_equal(idx.cur_sig, sig_before)
 
-    def test_overlay_rows_and_emptiness(self, monkeypatch):
-        """The overlay holds (table, sig, id) per changed table until a re-sort."""
-        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
+    def test_moved_ids_and_emptiness(self, monkeypatch):
+        """moved holds the distinct ids whose signatures changed, sorted,
+        until more than _REBUILD_FACTOR of them trigger a rebuild.
+
+        Updates draw from a few ids, so some id moves twice before a
+        rebuild; moved reads empty right after each rebuild, and the
+        rebuilt directory is that of the current signatures.
+        """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 3)
         rng = np.random.default_rng(8)
         idx = maxip_init(_unit_rows(rng, 40, 10), c=0.7, tau=0.5, delta=0.2,
                          seed=4)
-        assert len(idx.overlay) == 0 and idx.overlay.shape == (0, 3)
-        emptied = grown = 0
+        assert len(idx.moved) == 0 and idx.moved.dtype == np.int64
+        want: set[int] = set()
+        counts = Counter()
         for _ in range(60):
-            i = int(rng.integers(0, 40))
-            before, rows = idx.cur_sig[:, i].copy(), len(idx.overlay)
-            stage_rows = [len(idx._stage_overlay(s)) for s in (0, 1)]
+            i = int(rng.integers(0, 6))
+            before = idx.cur_sig[:, i].copy()
             maxip_update(idx, i, _unit_rows(rng, 1, 10)[0])
-            changed = np.flatnonzero(idx.cur_sig[:, i] != before)
-            if rows + len(changed) > idx.params.n_tables:
-                assert len(idx.overlay) == 0
-                emptied += 1
-            elif len(changed):
-                assert len(idx.overlay) == rows + len(changed) > 0
-                new = np.column_stack([changed, idx.cur_sig[changed, i],
-                                       np.full(len(changed), i)])
-                # Each new row is appended to the buffer of its table's stage.
-                for s, in_stage in enumerate((changed < _HEAD_TABLES,
-                                              changed >= _HEAD_TABLES)):
-                    np.testing.assert_array_equal(
-                        idx._stage_overlay(s)[stage_rows[s]:], new[in_stage])
-                grown += 1
-        assert emptied and grown
+            if np.array_equal(idx.cur_sig[:, i], before):
+                continue
+            counts["repeats"] += i in want
+            want.add(i)
+            if len(want) > maxip._REBUILD_FACTOR:
+                assert len(idx.moved) == 0
+                _assert_directory(idx)
+                want.clear()
+                counts["rebuilds"] += 1
+            else:
+                assert idx.moved.tolist() == sorted(want)
+                counts["grown"] += 1
+        assert counts["rebuilds"] and counts["grown"] and counts["repeats"], counts
 
     def test_consolidation_clears_overlay_and_preserves_view(self, monkeypatch):
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
@@ -331,7 +336,7 @@ class TestSignatureBookkeeping:
                     idx.logical_buckets(t) for t in range(idx.params.n_tables)
                 ]
         # _REBUILD_FACTOR=1 forces consolidations during the loop above
-        assert len(idx.overlay) <= maxip._REBUILD_FACTOR * idx.params.n_tables
+        assert len(idx.moved) <= maxip._REBUILD_FACTOR
         np.testing.assert_array_equal(idx.cur_sig, idx.hash_points(idx.stored))
 
     def test_update_sequence_matches_fresh_build(self):
@@ -360,10 +365,33 @@ class TestSignatureBookkeeping:
 
     def test_update_bounds_and_norm_checked(self):
         idx, _ = self._index()
-        with pytest.raises(IndexError):
-            maxip_update(idx, idx.n, np.zeros(idx.dim))
-        with pytest.raises(NormBoundError):
-            maxip_update(idx, 0, np.zeros(idx.dim))
+        for update in (maxip_update, maxip_lower):
+            with pytest.raises(IndexError):
+                update(idx, idx.n, np.zeros(idx.dim))
+            with pytest.raises(NormBoundError):
+                update(idx, 0, np.zeros(idx.dim))
+
+    def test_lower_keeps_signatures(self):
+        """maxip_lower writes the row and leaves every signature structure
+        bitwise as it was; a point lowered from the query itself to inner
+        product 0.9 is still found through its kept signatures, with the
+        product of its new row."""
+        rng = np.random.default_rng(11)
+        pts, q = _with_planted(rng, 60, 32, 1.0)
+        idx = maxip_init(pts, c=0.7, tau=0.5, delta=0.2, seed=11)
+        kept = [a.copy() for a in (idx.cur_sig, idx.base_ids, idx.base_dir,
+                                   idx.moved)]
+        new = _planted(rng, q, 0.9)
+        maxip_lower(idx, 0, new)
+        assert idx.stored[0].tobytes() == new.tobytes()
+        for a, b in zip(kept, (idx.cur_sig, idx.base_ids, idx.base_dir, idx.moved)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # A rehash would have moved the point in some table.
+        assert not np.array_equal(idx._hash_one(new), idx.cur_sig[:, 0])
+        r = maxip_query(idx, q)
+        assert r.found and r.index == 0
+        assert r.value == np.einsum("ij,j->i", idx.stored[[0]], q)[0]
+        assert r.value >= idx.params.c * idx.params.tau
 
 
 def _slots(index, sig):
@@ -374,21 +402,16 @@ def _slots(index, sig):
 def _reference_candidates(index, qsig):
     """(table, new candidate ids) per table, from a per-table Python loop.
 
-    Base members are read from the directory slot of qsig[t] and overlay
-    members from a scan of index.overlay's rows in append order; tables
-    without a new candidate are left out.
+    Base members are read from the directory slot of qsig[t], then every
+    moved id in ascending order; tables without a new candidate are left out.
     """
-    overlay: dict[int, list[int]] = {}
-    for t, s, i in index.overlay.tolist():
-        if s == qsig[t]:
-            overlay.setdefault(t, []).append(i)
     seen: set[int] = set()
     out = []
     for t, sig_t in enumerate(qsig):
         v = int(_slots(index, sig_t))
         lo, hi = index.base_dir[t, v], index.base_dir[t, v + 1]
         cand = []
-        for i in index.base_ids[t, lo:hi].tolist() + overlay.get(t, []):
+        for i in index.base_ids[t, lo:hi].tolist() + index.moved.tolist():
             if index.cur_sig[t, i] == sig_t and i not in seen:
                 seen.add(i)
                 cand.append(i)
@@ -458,16 +481,16 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
     about near from a stored point.
     """
     n, d = idx.n, idx.dim
-    found = missed = overlay_queries = consolidations = 0
+    found = missed = moved_queries = consolidations = 0
     for _ in range(80):
-        appends = len(idx.overlay)
+        moved = len(idx.moved)
         i = int(rng.integers(0, n))
         z = idx.stored[i] + move * _unit_rows(rng, 1, d)[0]
         maxip_update(idx, i, z / np.linalg.norm(z))
-        consolidations += len(idx.overlay) < appends
+        consolidations += len(idx.moved) < moved
         q = idx.stored[int(rng.integers(0, n))] + near * _unit_rows(rng, 1, d)[0]
         for q in (q / np.linalg.norm(q), _unit_rows(rng, 1, d)[0]):
-            overlay_queries += len(idx.overlay) > 0
+            moved_queries += len(idx.moved) > 0
             qsig = idx._hash_one(q)
             tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
@@ -477,7 +500,7 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
                 _assert_same_result(got, want)
                 found += got.found
                 missed += not got.found
-    assert found and missed and overlay_queries
+    assert found and missed and moved_queries
     assert consolidations if factor == 1 else not consolidations
 
 
@@ -490,7 +513,7 @@ class TestQueryMatchesReference:
         Queries near a stored point exit early on a Found; random queries
         mostly miss after scanning every table; a small cap stops the scan
         by count, and cap 0 after the first table.  With _REBUILD_FACTOR=1
-        the overlay is folded into the base every few updates.
+        the directory is rebuilt every few updates.
         """
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(700 + seed)
@@ -503,8 +526,8 @@ class TestQueryMatchesReference:
     def test_same_result_with_uint64_signatures(self, factor, monkeypatch):
         """As above for an index with K > 32 bits per signature.
 
-        The 80 updates here append more than 64 updates' worth of overlay
-        rows, so the unconsolidated case uses 128.
+        The unconsolidated case uses 128, more ids than the 80 updates can
+        move.
         """
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(710)
@@ -519,28 +542,35 @@ def _compare_two_stage(idx, rng):
 
     Each query must match the one-stage reference for cap None, 3 and one
     more than the head's candidate count, which the head alone cannot
-    reach.  Queries at inner product just above c * tau with a stored point
-    collide with it in a late table now and then.  Returns counts of how the
-    queries ended and of what the overlay held.
+    reach.  Queries at inner product just above c * tau with a stored point,
+    a random one or the one just updated, collide with it in a late table
+    now and then.  Returns counts of how the
+    queries ended and of the stages in which a moved id was gathered from
+    moved, in a table where its signature changed since the last build.
     """
     n, d, L = idx.n, idx.dim, idx.params.n_tables
     threshold = idx.params.c * idx.params.tau
     ends = Counter()
+    built = idx.cur_sig.copy()
     for _ in range(30):
-        appends = len(idx.overlay)
+        moved = len(idx.moved)
         i = int(rng.integers(0, n))
         z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, d)[0]
         maxip_update(idx, i, z / np.linalg.norm(z))
-        ends["consolidations"] += len(idx.overlay) < appends
-        # The head stage's buffer holds exactly the overlay's rows of head tables.
-        np.testing.assert_array_equal(idx._stage_overlay(0),
-                                      idx.overlay[idx.overlay[:, 0] < _HEAD_TABLES])
-        ends["head rows"] += len(idx._stage_overlay(0)) > 0
-        ends["tail rows"] += bool(np.any(idx.overlay[:, 0] >= _HEAD_TABLES))
+        if len(idx.moved) < moved:
+            ends["consolidations"] += 1
+            built = idx.cur_sig.copy()
         p = idx.stored[int(rng.integers(0, n))]
-        for q in (_planted(rng, p, threshold + 0.02), _unit_rows(rng, 1, d)[0]):
+        for q in (_planted(rng, p, threshold + 0.02), _unit_rows(rng, 1, d)[0],
+                  _planted(rng, idx.stored[i], threshold + 0.02)):
+            qsig = idx._hash_one(q)
+            tab, ids = _gather_all(idx, qsig)
+            # Its base entry there holds the build's signature, so it is stale.
+            changed = tab[idx.cur_sig[tab, ids] != built[tab, ids]]
+            ends["moved in head"] += bool(np.any(changed < _HEAD_TABLES))
+            ends["moved in tail"] += bool(np.any(changed >= _HEAD_TABLES))
             head = sum(len(cand) for t, cand in
-                       _reference_candidates(idx, idx._hash_one(q)) if t < _HEAD_TABLES)
+                       _reference_candidates(idx, qsig) if t < _HEAD_TABLES)
             for cap in (None, 3, head + 1):
                 got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
                 _assert_same_result(got, want)
@@ -572,71 +602,65 @@ class TestTwoStageProbe:
         """Head-then-tail probing returns the full probe's MaxIpResult.
 
         Queries end Found in the head, Found in the tail, missed, and
-        stopped by a cap in the tail; the overlay holds rows of head and of
-        tail tables, and with _REBUILD_FACTOR=1 it is folded into the base
-        every few updates.
+        stopped by a cap in the tail; both stages gather moved ids, and
+        with _REBUILD_FACTOR=1 the directory is rebuilt every few updates.
         """
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", factor)
         rng = np.random.default_rng(720)
         idx = _many_tables_index(rng, dtype)
         ends = _compare_two_stage(idx, rng)
         for end in [("found", "head"), ("found", "tail"), ("missed", "tail"),
-                    "cap in tail", "head rows", "tail rows"]:
+                    "cap in tail", "moved in head", "moved in tail"]:
             assert ends[end], (end, ends)
         assert ends["missed", "head"] == 0
         assert ends["consolidations"] if factor == 1 else not ends["consolidations"]
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
-    def test_stage_buffers(self, dtype, monkeypatch):
-        """Each overlay row is stored once, in the buffer of its table's stage.
+    def test_moved_set_across_stages(self, dtype, monkeypatch):
+        """moved holds exactly the ids whose signatures changed, sorted and
+        distinct, and the tail gather reads it.
 
-        Far and near moves append rows to both stages; with _REBUILD_FACTOR=1
-        the overlay is folded into the base every few updates, and it must
-        read empty right after each fold and nonempty after any other update
-        that changed a table (the benchmark books consolidation time by it).
+        Far and near moves of a few ids change head and tail tables; with
+        _REBUILD_FACTOR=2 the directory is rebuilt once a third id moves,
+        and moved reads empty right after each rebuild (the index is then
+        the build of the current points).  With every head key bit
+        flipped, the updated id is first gathered in the first tail table,
+        from moved when its signature there changed.
         """
-        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 2)
         rng = np.random.default_rng(722)
         idx = _many_tables_index(rng, dtype)
-        n, d, L = idx.n, idx.dim, idx.params.n_tables
-        appended = np.empty((0, 3), dtype=np.int64)  # rows since the last fold
+        d = idx.dim
+        built = idx.cur_sig.copy()
+        want: set[int] = set()
         counts = Counter()
         for step in range(40):
-            i = int(rng.integers(0, n))
+            i = int(rng.integers(0, 6))
             z = _unit_rows(rng, 1, d)[0]
             if step % 2:
                 z = idx.stored[i] + 0.3 * z
             before = idx.cur_sig[:, i].copy()
             maxip_update(idx, i, z / np.linalg.norm(z))
-            changed = np.flatnonzero(idx.cur_sig[:, i] != before)
-            if len(appended) + len(changed) > L:
-                assert len(idx.overlay) == 0
-                appended = appended[:0]
-                counts["folds"] += 1
-            elif len(changed):
-                assert len(idx.overlay) > 0
-                appended = np.concatenate([appended, np.column_stack(
-                    [changed, idx.cur_sig[changed, i], np.full(len(changed), i)])])
-            head, tail = idx._stage_overlay(0), idx._stage_overlay(1)
-            assert np.all(head[:, 0] < _HEAD_TABLES) and np.all(tail[:, 0] >= _HEAD_TABLES)
-            # Together the buffers hold every appended row once, each in
-            # append order, and overlay lists the head's rows, then the tail's.
-            np.testing.assert_array_equal(head, appended[appended[:, 0] < _HEAD_TABLES])
-            np.testing.assert_array_equal(tail, appended[appended[:, 0] >= _HEAD_TABLES])
-            np.testing.assert_array_equal(idx.overlay, np.concatenate([head, tail]))
-            for t in np.unique(appended[:, 0]):
-                np.testing.assert_array_equal(idx.overlay[idx.overlay[:, 0] == t],
-                                              appended[appended[:, 0] == t])
-            # The head and tail gathers together read both buffers; with one
-            # head key bit flipped, i is first gathered from a tail table.
+            if not np.array_equal(idx.cur_sig[:, i], before):
+                counts["repeats"] += i in want
+                want.add(i)
+            if len(want) > maxip._REBUILD_FACTOR:
+                assert len(idx.moved) == 0
+                np.testing.assert_array_equal(idx.cur_sig, idx.hash_points(idx.stored))
+                built = idx.cur_sig.copy()
+                want.clear()
+                counts["rebuilds"] += 1
+            else:
+                assert idx.moved.tolist() == sorted(want)
             qsig = idx.cur_sig[:, i].copy()
             qsig[:_HEAD_TABLES] ^= dtype(1)
             tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, j) for t, cand in _reference_candidates(idx, qsig) for j in cand]
-            counts["head rows"] += len(head) > 0
-            counts["tail rows"] += len(tail) > 0
-        assert counts["folds"] and counts["head rows"] and counts["tail rows"], counts
+            assert tab[np.flatnonzero(ids == i)[0]] == _HEAD_TABLES
+            counts["tail from moved"] += bool(
+                i in want and idx.cur_sig[_HEAD_TABLES, i] != built[_HEAD_TABLES, i])
+        assert counts["rebuilds"] and counts["repeats"] and counts["tail from moved"], counts
 
     def test_counters(self):
         """A query near a stored point hashes the head only; a miss, every table."""
@@ -835,11 +859,11 @@ class TestPackedKey:
                        for t in range(idx.params.n_tables))
         folds = 0
         for _ in range(40):
-            appends = len(idx.overlay)
+            moved = len(idx.moved)
             i = int(rng.integers(0, idx.n))
             z = idx.stored[i] + 0.3 * _unit_rows(rng, 1, idx.dim)[0]
             maxip_update(idx, i, z / np.linalg.norm(z))
-            if len(idx.overlay) < appends:
+            if len(idx.moved) < moved:
                 folds += 1
                 _assert_directory(idx)
         assert folds >= 2
