@@ -38,7 +38,9 @@ def main():
 
     res = maxip_query(index, q)
     print(f"planted pair at {tau}: found={res.found} index={res.index} "
-          f"value={res.value:.4f} (an exhaustive scan would touch all {n})")
+          f"value={res.value:.4f}")
+    print(f"  examined {res.examined} candidates, hashed {res.tables_hashed} of "
+          f"{p.n_tables} tables; an exhaustive scan would touch all n = {n}")
 
     # A query orthogonal to everything certifies a miss with index -1.
     basis = np.eye(d)

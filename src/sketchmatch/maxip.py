@@ -32,9 +32,11 @@ query gathers the moved ids whose current signature there is the query's.
 A query probes in two stages: it hashes, bounds and gathers the head tables
 [0, _HEAD_TABLES) first, in whole-array steps, and scores the gathered
 candidates in one pass; it does the same for the other tables only when the
-head neither reaches c * tau nor the candidate cap.  A mask of the ids
-already gathered carries across the stages, so the result equals that of
-one probe over all L tables.  Stale base entries, and base members whose
+head neither reaches c * tau nor the candidate cap.  The tail's gather
+drops the ids the head kept, so the result equals that of one probe over
+all L tables.  A stage dedups its candidates in one rank array of n entries,
+written and read only at its candidates and the head's, so a query costs
+its hashing plus its candidates.  Stale base entries, and base members whose
 signature shares only the slot's top B bits with the query's, are filtered
 against the authoritative per-point signature memo cur_sig.  maxip_update
 rehashes the point it replaces, and the directory is rebuilt in place once
@@ -291,7 +293,7 @@ class LshIndex:
         flat = self.base_dir.ravel()
         return flat[at].astype(np.int64), flat[at + 1].astype(np.int64)
 
-    def _gather(self, qsig: np.ndarray, t0: int, seen: np.ndarray,
+    def _gather(self, qsig: np.ndarray, t0: int, earlier: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Members of bucket qsig[j] in table t = t0 + j, in probe order.
 
@@ -299,9 +301,11 @@ class LshIndex:
         in ascending id order, then the moved ids whose current signature
         in t is qsig[j], in ascending order.  An id whose current signature
         in its table is not qsig[j] (stale, or a base member that shares
-        only the slot's top bits) is dropped, as is an id marked in the
-        boolean mask seen; of the rest only each id's first occurrence is
-        kept.  Returns (tables, ids), grouped by ascending table.
+        only the slot's top bits) is dropped, as is an id in earlier, the
+        ids an earlier stage kept; of the rest only each id's first
+        occurrence is kept.  One rank array records both: an id's entry is
+        its first rank, or -1 for an earlier id.  Returns (tables, ids),
+        grouped by ascending table.
         """
         n = self.n
         t1 = t0 + len(qsig)
@@ -320,10 +324,13 @@ class LshIndex:
             order = np.argsort(tab, kind="stable")
             tab, ids = tab[order], np.concatenate([ids, self.moved[j]])[order]
         fresh = self.cur_sig[tab, ids] == qsig[tab - t0]
-        fresh &= ~seen[ids]
         tab, ids = tab[fresh], ids[fresh]
         rank = np.arange(len(ids))
-        first = np.full(n, len(ids), dtype=np.int64)
+        # Only the entries at ids and earlier are written or read, so the
+        # query's work does not grow with n.
+        first = np.empty(n, dtype=np.int64)
+        first[ids] = len(ids)
+        first[earlier] = -1
         np.minimum.at(first, ids, rank)
         keep = first[ids] == rank
         return tab[keep], ids[keep]
@@ -406,16 +413,16 @@ def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    seen = np.zeros(index.n, dtype=bool)
+    earlier = np.empty(0, dtype=np.int64)
     for t0, t1 in ((0, min(L, _HEAD_TABLES)), (_HEAD_TABLES, L)):
         if t0 >= t1:
             break
         hashed = t1
         qsig = index.hash_points(q[np.newaxis, :], t0, t1)[:, 0]
-        tab, ids = index._gather(qsig, t0, seen)
+        tab, ids = index._gather(qsig, t0, earlier)
         if not len(ids):
             continue
-        seen[ids] = True
+        earlier = ids
         # One product per row: a value does not depend on its row's batch.
         vals = np.einsum("ij,j->i", index.stored[ids], q)
         # The scan stops in the table of the first row that reaches c * tau

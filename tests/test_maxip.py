@@ -323,6 +323,8 @@ class TestSignatureBookkeeping:
         assert counts["rebuilds"] and counts["grown"] and counts["repeats"], counts
 
     def test_consolidation_clears_overlay_and_preserves_view(self, monkeypatch):
+        """Rebuilds keep the logical view: the last update moves only its own
+        id, and each bucket's gather returns exactly its members."""
         monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 1)
         rng = np.random.default_rng(9)
         idx = maxip_init(
@@ -330,7 +332,8 @@ class TestSignatureBookkeeping:
         )
         logical_before = None
         for step in range(200):
-            maxip_update(idx, int(rng.integers(0, 40)), _unit_rows(rng, 1, 10)[0])
+            last = int(rng.integers(0, 40))
+            maxip_update(idx, last, _unit_rows(rng, 1, 10)[0])
             if step == 198:
                 logical_before = [
                     idx.logical_buckets(t) for t in range(idx.params.n_tables)
@@ -338,6 +341,18 @@ class TestSignatureBookkeeping:
         # _REBUILD_FACTOR=1 forces consolidations during the loop above
         assert len(idx.moved) <= maxip._REBUILD_FACTOR
         np.testing.assert_array_equal(idx.cur_sig, idx.hash_points(idx.stored))
+
+        def without_last(buckets):
+            view = {s: [i for i in ids if i != last] for s, ids in buckets.items()}
+            return {s: ids for s, ids in view.items() if ids}
+
+        none = np.empty(0, dtype=np.int64)
+        for t, before in enumerate(logical_before):
+            after = idx.logical_buckets(t)
+            assert without_last(after) == without_last(before)
+            for sig, members in after.items():
+                tab, ids = idx._gather(np.array([sig], dtype=idx.sig_dtype), t, none)
+                assert np.all(tab == t) and sorted(ids.tolist()) == members
 
     def test_update_sequence_matches_fresh_build(self):
         """Edited index and fresh index on edited points agree logically."""
@@ -423,17 +438,17 @@ def _reference_candidates(index, qsig):
 def _gather_all(index, qsig):
     """Members of every table's bucket: the head gather, then the tail's.
 
-    The mask of ids already gathered carries from the head stage to the
-    tail, as in maxip_query, so the pair lists each id once.
+    The tail's gather drops the ids the head kept, as in maxip_query, so
+    the pair lists each id once.
     """
     L = len(qsig)
-    seen = np.zeros(index.n, dtype=bool)
+    earlier = np.empty(0, dtype=np.int64)
     tabs, idss = [], []
     for t0, t1 in ((0, min(L, _HEAD_TABLES)), (_HEAD_TABLES, L)):
         if t0 >= t1:
             break
-        tab, ids = index._gather(qsig[t0:t1], t0, seen)
-        seen[ids] = True
+        tab, ids = index._gather(qsig[t0:t1], t0, earlier)
+        earlier = ids
         tabs.append(tab)
         idss.append(ids)
     return np.concatenate(tabs), np.concatenate(idss)
@@ -495,7 +510,7 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
             tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
-            for cap in (None, 3, 0):
+            for cap in (None, 50, 3, 0):
                 got, want = maxip_query(idx, q, cap), _reference_query(idx, q, cap)
                 _assert_same_result(got, want)
                 found += got.found
@@ -511,7 +526,7 @@ class TestQueryMatchesReference:
         """The vectorized probe returns the former loop's MaxIpResult.
 
         Queries near a stored point exit early on a Found; random queries
-        mostly miss after scanning every table; a small cap stops the scan
+        mostly miss after scanning every table; caps 50 and 3 stop the scan
         by count, and cap 0 after the first table.  With _REBUILD_FACTOR=1
         the directory is rebuilt every few updates.
         """
@@ -679,6 +694,71 @@ class TestTwoStageProbe:
         assert not r.found and r.tables_hashed == idx.params.n_tables
         qsig = idx._hash_one(q)
         assert r.examined == len(_gather_all(idx, qsig)[1])
+
+
+class _NumpyAsMaxipSees:
+    """numpy as the maxip module sees it, with some functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _poisoned_empty(shape, dtype=float, order="C"):
+    """np.empty whose integer arrays start filled with -7 (cast to dtype)."""
+    out = np.empty(shape, dtype=dtype, order=order)
+    if np.issubdtype(out.dtype, np.integer):
+        out.fill(np.array(-7).astype(out.dtype))
+    return out
+
+
+class TestProbeRecord:
+    """A probe stage writes and reads its rank array only at its candidates
+    and at the ids the head kept."""
+
+    @pytest.mark.parametrize("layout", ["uint32", "uint64", "truncated"])
+    def test_results_do_not_read_unwritten_entries(self, layout, monkeypatch):
+        """With every integer np.empty in maxip pre-filled with -7, gathers
+        and results still equal the reference's, over updates that keep
+        moved ids, for caps None, 50, 3 and 0.
+
+        The uint32 and uint64 indexes have L >= 3 H tables, so queries that
+        reach the tail drop the head's ids; every layout has K > B.
+        """
+        monkeypatch.setattr(maxip, "_REBUILD_FACTOR", 128)
+        monkeypatch.setattr(maxip, "np", _NumpyAsMaxipSees(empty=_poisoned_empty))
+        rng = np.random.default_rng(750)
+        if layout == "truncated":
+            idx = _packed_index(rng, layout)
+            _compare_over_update_sequence(idx, rng, 128, move=0.02, near=0.02)
+        else:
+            idx = _many_tables_index(rng, getattr(np, layout))
+            assert idx.params.k_bits > idx._slot_bits
+            _compare_over_update_sequence(idx, rng, 128)
+
+    def test_miss_query_fills_nothing_of_n_entries(self, monkeypatch):
+        """A miss that probes both stages calls np.zeros, np.full and
+        np.ones in maxip for fewer than n elements each."""
+        d = 40
+        idx = maxip_init(np.eye(d)[: d - 1], c=0.9, tau=0.7, delta=1e-4, seed=3)
+        L = idx.params.n_tables
+        assert L > _HEAD_TABLES
+        sizes = []
+
+        def counted(fill):
+            def wrapper(*args, **kwargs):
+                out = fill(*args, **kwargs)
+                sizes.append(out.size)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(maxip, "np", _NumpyAsMaxipSees(
+            **{f: counted(getattr(np, f)) for f in ("zeros", "full", "ones")}))
+        r = maxip_query(idx, np.eye(d)[d - 1])
+        assert not r.found and r.tables_hashed == L and r.examined > 0
+        assert all(s < idx.n for s in sizes), sizes
 
 
 def _shift_loop_hash(index, pts):
