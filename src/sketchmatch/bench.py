@@ -219,7 +219,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0,
     """One seeded experiment: build, stream, compare against the optimum."""
     offline, online, matcher, lat_ns = _stream(cfg, trial, oracle)
     weight = matcher.weight
-    alg = realized_value(matcher, weight)
+    alg = realized_value(matcher)
     s = match_query(matcher)
     flagged = cfg.instrument and bool(flagged_steps(matcher))
     # A noisy oracle's own epsilon is the error the estimates carried and
@@ -317,6 +317,8 @@ def scaling_sweep(cfg: ExperimentConfig, n_values: list[int]) -> SweepResult:
     """
     if sorted(n_values) != list(n_values) or len(n_values) < 2:
         raise ParameterError("n_values must be ascending, length >= 2")
+    if cfg.m_online < 1:
+        raise ParameterError("a sweep times arrivals, so it needs m >= 1")
     runs: dict[str, list[list[float]]] = {k: [[] for _ in n_values]
                                           for k in SWEEP_KINDS}
     for _ in range(3):
@@ -351,10 +353,13 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ParameterError(f"bad {kind} for {name}: {raw!r}") from None
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -377,7 +382,10 @@ def parse_config_file(path) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _FIELD_TYPES:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, raw)
+            try:
+                out[key] = _coerce(key, raw)
+            except ParameterError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -406,37 +414,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _sweep_values(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParameterError(
+            f"--sweep takes comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
+    """Run the CLI; 2 on a bad setting or path, else exit_code's 0 or 1."""
     args = _build_parser().parse_args(argv)
-    settings = parse_config_file(args.config) if args.config else {}
-    # Each config flag's dest is its ExperimentConfig field.
-    settings.update({name: value for name, value in vars(args).items()
-                     if name in _FIELD_TYPES and value is not None})
+    # A setting can be bad in the config file, out of the config's domain,
+    # or out of a matcher's domain, which only shows once the run builds
+    # that matcher; a path can be unreadable or unwritable.
     try:
+        settings = parse_config_file(args.config) if args.config else {}
+        # Each config flag's dest is its ExperimentConfig field.
+        settings.update({name: value for name, value in vars(args).items()
+                         if name in _FIELD_TYPES and value is not None})
         cfg = ExperimentConfig(**settings)
-    except (ParameterError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # A setting can also be out of a matcher's domain, which only shows
-    # once the run builds that matcher.
-    try:
         if args.sweep:
-            n_values = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
-            text = format_sweep(scaling_sweep(cfg, n_values))
+            text = format_sweep(scaling_sweep(cfg, _sweep_values(args.sweep)))
             code = 0
         else:
             reports = run_experiment(cfg)
             text = render_report(reports, cfg.output_format)
             code = exit_code(reports)
-    except ParameterError as exc:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

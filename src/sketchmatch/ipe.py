@@ -76,22 +76,12 @@ class IpeState:
         return self.bank.plan.d - 2  # the embedding pads two coordinates
 
 
-def ipe_init(
-    points: PointSet,
-    epsilon: float,
-    delta: float,
-    seed,
-    c_k: float = DEFAULT_C_K,
-    c_m: float = DEFAULT_C_M,
-) -> IpeState:
-    """Index a point set for +-epsilon inner-product estimates."""
-    return IpeState(points, epsilon, delta, seed, c_k=c_k, c_m=c_m)
+# Index a point set for +-epsilon inner-product estimates.
+ipe_init = IpeState
 
 
 def ipe_update(state: IpeState, i: int, z) -> None:
     """Replace stored point i by z (must respect the norm bound)."""
-    if not 0 <= i < state.n:
-        raise IndexError(f"index {i} out of range")
     z = as_vector(z, dim=state.dim)
     nz = float(np.linalg.norm(z))
     if nz > state.norm_bound * (1.0 + NORM_SLACK):

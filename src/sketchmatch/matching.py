@@ -160,7 +160,9 @@ class _MatcherBase:
         i0, est_new = self._choose(y)
         gain = max(0.0, est_new - float(st.accumulated[i0]))
         st.chosen.append(i0)
-        st.arrivals.append(y)
+        # A copy: as_vector hands back a float64 vector itself, and the
+        # caller may refill it for the next arrival.
+        st.arrivals.append(y.copy())
         st.gains.append(gain)
         if gain > 0.0:
             st.accumulated[i0] += gain
@@ -337,16 +339,20 @@ def match_query(matcher: _MatcherBase) -> float:
     return matcher.query()
 
 
-def realized_value(state_or_matcher, weight_fn: str = "inner-product") -> float:
+def realized_value(state_or_matcher, weight_fn: str | None = None) -> float:
     """Exact matching value of the arrival log.
 
     Sums, over offline points, the best true weight among the arrivals
     routed to them (floored at zero; points with no arrival contribute
     zero).  One weight is computed per arrival, and np.maximum.at keeps
-    each offline point's best.  This is the quantity the competitive-ratio
-    guarantees bound; the tracked s is only the matcher's belief.
+    each offline point's best.  weight_fn defaults to a matcher's own
+    weight, and to "inner-product" for a bare MatchState.  This is the
+    quantity the competitive-ratio guarantees bound; the tracked s is only
+    the matcher's belief.
     """
     state = getattr(state_or_matcher, "state", state_or_matcher)
+    if weight_fn is None:
+        weight_fn = getattr(state_or_matcher, "weight", "inner-product")
     if weight_fn not in ("inner-product", "distance"):
         raise ParameterError("weight_fn must be 'inner-product' or 'distance'")
     if not state.chosen:

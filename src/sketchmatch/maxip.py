@@ -38,14 +38,14 @@ all L tables.  A stage dedups its candidates in one rank array of n entries,
 written and read only at its candidates and the head's, so a query costs
 its hashing plus its candidates.  Stale base entries, and base members whose
 signature shares only the slot's top B bits with the query's, are filtered
-against the authoritative per-point signature memo cur_sig.  maxip_update
-rehashes the point it replaces, and the directory is rebuilt in place once
-more than _REBUILD_FACTOR ids have moved.  maxip_lower replaces a point and
-keeps its signatures, for a point whose inner product with every query to
-come can only fall; the hashed matcher's updates are of that kind, so it
-never rehashes.  The hyperplanes are stored column-major, which suits the
-GEMV that hashes one vector.  Theoretical query/space exponents for other
-constructions are exposed through maxip_exponent.
+against the authoritative per-point signature memo cur_sig.  maxip_lower,
+the index's one write, replaces a point and keeps its signatures, for a
+point whose inner product with every query to come can only fall; the
+hashed matcher's updates are of that kind, so it never rehashes.
+maxip_update is that write plus a rehash; the directory is rebuilt in
+place once more than _REBUILD_FACTOR ids have moved.  The hyperplanes are
+stored column-major, which suits the GEMV that hashes one vector.  The
+theoretical query exponents of other constructions come from maxip_exponent.
 """
 
 from __future__ import annotations
@@ -207,15 +207,6 @@ class LshIndex:
     def n(self) -> int:
         return self.stored.shape[0]
 
-    def _replace(self, i: int, point) -> np.ndarray:
-        """Check point i's new vector and write it to stored; returns it."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"index {i} out of range")
-        z = as_vector(point, dim=self.dim)
-        self._check_unit(z[np.newaxis, :])
-        self.stored[i] = z
-        return z
-
     # -- hashing ------------------------------------------------------------
 
     def hash_points(self, pts: np.ndarray, t0: int = 0,
@@ -241,9 +232,6 @@ class LshIndex:
             bits = bits.astype(self.sig_dtype) if b == 1 else bits.view(np.uint8)
             sig[a - t0 : z - t0] = np.einsum("tkb,k->tb", bits, weights)
         return sig
-
-    def _hash_one(self, v: np.ndarray) -> np.ndarray:
-        return self.hash_points(v[np.newaxis, :])[:, 0]
 
     # -- bucket bookkeeping ---------------------------------------------------
 
@@ -344,27 +332,19 @@ class LshIndex:
         return buckets
 
 
-def maxip_init(
-    points,
-    c: float,
-    tau: float,
-    delta: float,
-    seed,
-    max_tables: int = DEFAULT_MAX_TABLES,
-) -> LshIndex:
-    """Index unit vectors for (c, tau)-Max-IP queries."""
-    return LshIndex(points, c, tau, delta, seed, max_tables=max_tables)
+# Index unit vectors for (c, tau)-Max-IP queries.
+maxip_init = LshIndex
 
 
 def maxip_update(index: LshIndex, i: int, new_point) -> None:
-    """Replace point i by any unit vector and rehash it.
+    """Replace point i by any unit vector: maxip_lower's write, then a rehash.
 
     If its signature changed in some table, cur_sig takes the new one and i
     joins index.moved; the directory is rebuilt once more than
     _REBUILD_FACTOR ids have moved.
     """
-    z = index._replace(i, new_point)
-    new_sig = index._hash_one(z)
+    maxip_lower(index, i, new_point)
+    new_sig = index.hash_points(index.stored[i][np.newaxis, :])[:, 0]
     if np.array_equal(new_sig, index.cur_sig[:, i]):
         return
     index.cur_sig[:, i] = new_sig
@@ -376,6 +356,8 @@ def maxip_update(index: LshIndex, i: int, new_point) -> None:
 def maxip_lower(index: LshIndex, i: int, new_point) -> None:
     """Replace point i by a unit vector and keep every signature it has.
 
+    The index's one write: it checks that i is in range and that new_point
+    is a finite unit vector of the index's dimension, then sets stored[i].
     Precondition: for every query q to come, <new_point, q> <= <old, q>,
     where old is the vector it replaces.  Over a chain of such calls, a
     query the current vector meets at tau meets the vector its signatures
@@ -385,7 +367,11 @@ def maxip_lower(index: LshIndex, i: int, new_point) -> None:
     matcher's updates are of this kind: a weight that only grows lowers
     every transformed inner product.
     """
-    index._replace(i, new_point)
+    if not 0 <= i < index.n:
+        raise IndexError(f"index {i} out of range")
+    z = as_vector(new_point, dim=index.dim)
+    LshIndex._check_unit(z[np.newaxis, :])
+    index.stored[i] = z
 
 
 def maxip_query(index: LshIndex, q, cap: int | None = None) -> MaxIpResult:

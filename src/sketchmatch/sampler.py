@@ -93,9 +93,8 @@ class PrefixTree:
         return nodes[::-1]
 
 
-def sampler_init(weights) -> PrefixTree:
-    """Build the sampling tree; O(n) nodes, O(log n) depth."""
-    return PrefixTree(weights)
+# Build the sampling tree; O(n) nodes, O(log n) depth.
+sampler_init = PrefixTree
 
 
 def sampler_query(tree: PrefixTree, rng: SeededRng) -> int:

@@ -525,6 +525,29 @@ class TestCli:
         assert captured.err.startswith("error: ") and "cluster_k" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("config, argv", [
+        pytest.param("n_points = 5\n", [], id="unknown-config-key"),
+        pytest.param("dim = four\n", [], id="non-numeric-config-value"),
+        pytest.param(None, ["--config", "none.cfg"], id="unreadable-config-path"),
+        pytest.param(None, ["--sweep", "16,3x2"], id="non-integer-sweep-token"),
+        pytest.param(None, ["--out", "no/r.csv"], id="unwritable-out-path"),
+        pytest.param(None, ["--sweep", "16,32", "--m", "0"],
+                     id="sweep-without-arrivals"),
+    ])
+    def test_bad_setting_or_path_exits_2(self, config, argv, tmp_path,
+                                         monkeypatch, capsys):
+        """One error line and exit 2, which is not a missed bound's 1."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = ["--config", "run.cfg"]
+        rc = main(["--n", "5", "--m", "3"] + argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_run_time_parameter_error_exits_2(self, capsys):
         """A setting outside a matcher's domain surfaces while the run builds it."""
         rc = main(["--matcher", "DistanceMatching", "--n", "8", "--m", "4",

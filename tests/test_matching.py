@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from sketchmatch import maxip
+from sketchmatch import ade, ipe, maxip
 from sketchmatch.core import (
     ParameterError,
     PointSet,
@@ -695,6 +695,21 @@ class TestRealizedValue:
         for got in (realized_value(m, weight_fn), realized_value(st, weight_fn)):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
+    @pytest.mark.parametrize("kind", MATCHER_KINDS)
+    def test_defaults_to_the_matchers_weight(self, kind):
+        """A bare MatchState has no weight and keeps inner products."""
+        rng = np.random.default_rng(40 + MATCHER_KINDS.index(kind))
+        offline = PointSet(_unit_ball(rng, 5, 6))
+        m = _matcher(kind, offline, seed=4, tau=0.3, delta=0.2)
+        for y in _unit_ball(rng, 40, 6):
+            match_update(m, y)
+        assert realized_value(m) == realized_value(m, m.weight)
+        assert realized_value(m.state) == realized_value(m, "inner-product")
+        if kind.startswith("GreedyExact"):
+            # Exact greedy believes what it realizes.
+            assert math.isclose(realized_value(m), match_query(m),
+                                rel_tol=0.0, abs_tol=1e-9)
+
     def test_empty_log(self):
         m = match_init("GreedyExact-IP", PointSet(np.eye(3)))
         assert realized_value(m) == 0.0
@@ -720,6 +735,59 @@ class TestRealizedValue:
         # Point 0 has only negative weights; point 1 keeps its best, 0.25.
         assert realized_value(st) == 0.25
         assert realized_value(st) == _loop_realized_value(st, "inner-product")
+
+
+class TestArrivalLog:
+    @pytest.mark.parametrize("kind", MATCHER_KINDS)
+    def test_a_reused_buffer_logs_what_fresh_arrays_do(self, kind):
+        """A caller may refill one buffer for every arrival."""
+        rng = np.random.default_rng(50 + MATCHER_KINDS.index(kind))
+        offline = PointSet(_unit_ball(rng, 50, 8))
+        ys = _unit_ball(rng, 40, 8)
+        fresh = _matcher(kind, offline, seed=2, tau=0.3, delta=0.2)
+        reused = _matcher(kind, offline, seed=2, tau=0.3, delta=0.2)
+        buf = np.empty(8)
+        for y in ys:
+            match_update(fresh, y.copy())
+            buf[:] = y
+            match_update(reused, buf)
+        np.testing.assert_array_equal(np.stack(reused.state.arrivals), ys)
+        assert reused.state.chosen == fresh.state.chosen
+        assert realized_value(reused) == realized_value(fresh) > 0.0
+        assert flagged_steps(reused) == flagged_steps(fresh)
+
+
+class TestLayerEntryPoints:
+    """The matchers reach each layer through its module attribute.
+
+    A tracer that swaps an entry point such as maxip.maxip_init for a
+    timing wrapper sees every call only if no matcher holds the class or
+    function itself.
+    """
+
+    ENTRY_POINTS = ((maxip, "maxip_init"), (maxip, "maxip_query"),
+                    (ipe, "ipe_init"), (ipe, "ipe_query"),
+                    (ade, "ade_init"), (ade, "ade_query"))
+    REACHED = {
+        "FasterInnerProductMatching": ("maxip_init", "maxip_query"),
+        "InnerProductMatching": ("ipe_init", "ipe_query", "ade_init",
+                                 "ade_query"),
+        "DistanceMatching": ("ade_init", "ade_query"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REACHED))
+    def test_init_and_one_update_call_each_once(self, kind, monkeypatch):
+        calls = {name: 0 for _, name in self.ENTRY_POINTS}
+        for mod, name in self.ENTRY_POINTS:
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+        rng = np.random.default_rng(6)
+        m = _matcher(kind, PointSet(_unit_ball(rng, 20, 6)), tau=0.3)
+        match_update(m, _unit_ball(rng, 1, 6)[0])
+        assert calls == {name: int(name in self.REACHED[kind])
+                         for name in calls}
 
 
 class TestValidation:

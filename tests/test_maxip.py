@@ -402,7 +402,8 @@ class TestSignatureBookkeeping:
         for a, b in zip(kept, (idx.cur_sig, idx.base_ids, idx.base_dir, idx.moved)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # A rehash would have moved the point in some table.
-        assert not np.array_equal(idx._hash_one(new), idx.cur_sig[:, 0])
+        assert not np.array_equal(idx.hash_points(new[np.newaxis, :])[:, 0],
+                                  idx.cur_sig[:, 0])
         r = maxip_query(idx, q)
         assert r.found and r.index == 0
         assert r.value == np.einsum("ij,j->i", idx.stored[[0]], q)[0]
@@ -466,7 +467,8 @@ def _reference_query(index, q, cap=None):
     best_val = -math.inf
     best_idx = -1
     examined = 0
-    for _, cand in _reference_candidates(index, index._hash_one(q)):
+    qsig = index.hash_points(q[np.newaxis, :])[:, 0]
+    for _, cand in _reference_candidates(index, qsig):
         vals = np.einsum("ij,j->i", index.stored[cand], q)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
@@ -506,7 +508,7 @@ def _compare_over_update_sequence(idx, rng, factor, move=0.3, near=0.4):
         q = idx.stored[int(rng.integers(0, n))] + near * _unit_rows(rng, 1, d)[0]
         for q in (q / np.linalg.norm(q), _unit_rows(rng, 1, d)[0]):
             moved_queries += len(idx.moved) > 0
-            qsig = idx._hash_one(q)
+            qsig = idx.hash_points(q[np.newaxis, :])[:, 0]
             tab, ids = _gather_all(idx, qsig)
             assert list(zip(tab.tolist(), ids.tolist())) == [
                 (t, i) for t, cand in _reference_candidates(idx, qsig) for i in cand]
@@ -578,7 +580,7 @@ def _compare_two_stage(idx, rng):
         p = idx.stored[int(rng.integers(0, n))]
         for q in (_planted(rng, p, threshold + 0.02), _unit_rows(rng, 1, d)[0],
                   _planted(rng, idx.stored[i], threshold + 0.02)):
-            qsig = idx._hash_one(q)
+            qsig = idx.hash_points(q[np.newaxis, :])[:, 0]
             tab, ids = _gather_all(idx, qsig)
             # Its base entry there holds the build's signature, so it is stale.
             changed = tab[idx.cur_sig[tab, ids] != built[tab, ids]]
@@ -692,7 +694,7 @@ class TestTwoStageProbe:
         q = np.eye(d)[d - 1]
         r = maxip_query(idx, q)
         assert not r.found and r.tables_hashed == idx.params.n_tables
-        qsig = idx._hash_one(q)
+        qsig = idx.hash_points(q[np.newaxis, :])[:, 0]
         assert r.examined == len(_gather_all(idx, qsig)[1])
 
 
@@ -794,7 +796,7 @@ class TestHashing:
             np.testing.assert_array_equal(full, _shift_loop_hash(idx, pts))
             for t0, t1 in [(0, _HEAD_TABLES), (_HEAD_TABLES, L), (5, 17), (L - 1, L)]:
                 np.testing.assert_array_equal(idx.hash_points(pts, t0, t1), full[t0:t1])
-        np.testing.assert_array_equal(idx._hash_one(idx.stored[3]),
+        np.testing.assert_array_equal(idx.hash_points(idx.stored[3:4])[:, 0],
                                       _shift_loop_hash(idx, idx.stored[3:4])[:, 0])
 
     @pytest.mark.parametrize("n, dim, clusters, shape", [
